@@ -36,6 +36,8 @@ namespace {
 
 /// Machine-readable dump for CI's perf trajectory: one record per suite
 /// kernel plus the GEMM passes, written as plain JSON (no dependency).
+/// A suite record's exec_seconds is the warm median with its min/max;
+/// the first, cold run (fresh plan and arena) has its own field.
 std::string kernels_json(const std::vector<hpc::KernelReport>& reports) {
   std::string json;
   for (const auto& report : reports) {
@@ -43,12 +45,15 @@ std::string kernels_json(const std::vector<hpc::KernelReport>& reports) {
     json += common::strprintf(
         "    {\"name\": \"%s\", \"samples\": %zu, \"pes\": %d, "
         "\"cycles\": %llu, \"flop_per_cycle\": %.6f, "
-        "\"exec_seconds\": %.9f, \"elements_per_second\": %.1f, "
+        "\"exec_seconds\": %.9f, \"exec_min_seconds\": %.9f, "
+        "\"exec_max_seconds\": %.9f, \"warm_runs\": %d, "
+        "\"exec_cold_seconds\": %.9f, \"elements_per_second\": %.1f, "
         "\"compile_seconds\": %.9f, \"bit_exact\": %s, "
         "\"plan_executed\": %s}",
         report.name.c_str(), report.samples, report.pes_used,
         static_cast<unsigned long long>(report.cycles), report.flop_per_cycle,
-        report.exec_seconds, report.elements_per_second,
+        report.exec_seconds, report.exec_min_seconds, report.exec_max_seconds,
+        report.warm_runs, report.exec_cold_seconds, report.elements_per_second,
         report.compile_seconds, report.bit_exact ? "true" : "false",
         report.plan_executed ? "true" : "false");
   }
@@ -92,17 +97,19 @@ int main(int argc, char** argv) {
   std::printf("== HPC kernel suite on the VCGRA overlay service ==\n");
   bool ok = true;
   constexpr std::size_t kN = 4096;
+  constexpr int kWarmRuns = 5;  // suite rows: warm median of 5 + cold run
   std::vector<hpc::KernelReport> suite_reports;
   std::string gemm_records;     // filled by section C
   std::string batched_record;   // filled by section D
 
   // --- A: the suite on the paper's configuration -----------------------------
   {
-    std::printf("\n[A] Standard suite, 4x4 grid, FloPoCo (6,26), n=%zu\n", kN);
+    std::printf("\n[A] Standard suite, 4x4 grid, FloPoCo (6,26), n=%zu "
+                "(Melem/s: warm median of %d runs)\n", kN, kWarmRuns);
     hpc::HpcBenchOptions options;
     options.service.threads = 2;
     hpc::HpcBench bench(options);
-    const auto reports = bench.run_suite(kN);
+    const auto reports = bench.run_suite(kN, 1, kWarmRuns);
     suite_reports = reports;
     std::printf("%s", hpc::HpcBench::report_table(reports).c_str());
     for (const auto& report : reports) {

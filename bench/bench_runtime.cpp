@@ -11,6 +11,10 @@
 //      virtual grid instances under the pconf/SCG cost model (§V):
 //      kernel-affinity placement turns almost every grid swap into a
 //      no-op, and the modeled HWICAP seconds saved are reported.
+//   D-J. Param sweeps, the persistent store, execution plans, telemetry,
+//      fused batches, kernel graphs and the continuous monitor.
+//   M. Decimating MAC — whole accumulation windows run side by side, so
+//      a MAC element costs <= 2.5x a fused axpy element.
 //
 // Exits non-zero if the cache speedup target or bit-exactness fails, so
 // CI can run it as a smoke check.
@@ -34,6 +38,8 @@
 #include "vcgra/common/table.hpp"
 #include "vcgra/common/timer.hpp"
 #include "vcgra/runtime/service.hpp"
+#include "vcgra/softfloat/batch.hpp"
+#include "vcgra/softfloat/fpformat.hpp"
 #include "vcgra/telemetry/health.hpp"
 #include "vcgra/telemetry/metrics.hpp"
 #include "vcgra/telemetry/trace.hpp"
@@ -1295,6 +1301,88 @@ int main() {
                   "interval (median of %d interleaved pairs; target >= 0.99x; "
                   "report-only — the gated quantity is the tick cost above)\n",
                   runtime::percentile(pair_ratios, 0.5), kAttempts * kReps);
+    }
+  }
+
+  // --- M: window-parallel decimating MAC gate ----------------------------------
+  {
+    std::printf("\n[M] Decimating MAC vs fused axpy: batch-kernel cost per "
+                "element (n=65536, count 16)\n");
+    // A MAC window is a serial add chain, but separate windows are
+    // independent: fp_mac_n runs whole windows side by side as the lanes
+    // of fp_axpy_n calls. A MAC element should then cost about one axpy
+    // element plus a strided gather; one serial chain costs ~6x. Ratio
+    // of per-call medians, median of 3 attempts; the MAC output must be
+    // bit-exact against the scalar FpValue fp_mac oracle.
+    constexpr int kAttempts = 3;
+    constexpr int kCalls = 9;
+    constexpr std::size_t kN = 65536;
+    constexpr std::uint32_t kCount = 16;
+    constexpr double kBound = 2.5;
+    for (const softfloat::FpFormat format :
+         {softfloat::FpFormat::paper(), softfloat::FpFormat::half_like()}) {
+      common::Rng rng(0x3ac16);
+      std::vector<std::uint64_t> x(kN), y(kN), out(kN);
+      for (std::size_t i = 0; i < kN; ++i) {
+        x[i] = softfloat::fp_encode_double(format, 4.0 * rng.next_double() - 2.0);
+        y[i] = softfloat::fp_encode_double(format, 4.0 * rng.next_double() - 2.0);
+      }
+      const std::uint64_t coeff = softfloat::fp_encode_double(format, 0.75);
+      const auto run_mac = [&] {
+        std::uint64_t acc = 0;
+        std::uint32_t filled = 0;
+        return softfloat::fp_mac_n(format, x.data(), coeff, kCount, out.data(),
+                                   kN, &acc, &filled);
+      };
+
+      bool bits_equal = run_mac() == kN / kCount;
+      const softfloat::FpValue c(format, coeff);
+      softfloat::FpValue acc = softfloat::FpValue::zero(format);
+      for (std::size_t i = 0; bits_equal && i < kN; ++i) {
+        acc = softfloat::fp_mac(acc, softfloat::FpValue(format, x[i]), c);
+        if ((i + 1) % kCount == 0) {
+          bits_equal = out[i / kCount] == acc.bits();
+          acc = softfloat::FpValue::zero(format);
+        }
+      }
+
+      const auto ns_per_elem = [&](const auto& fn) {
+        std::vector<double> samples;
+        for (int call = 0; call < kCalls; ++call) {
+          common::WallTimer timer;
+          fn();
+          samples.push_back(timer.seconds() * 1e9 / kN);
+        }
+        return runtime::percentile(samples, 0.5);
+      };
+      std::vector<double> ratios;
+      for (int attempt = 0; attempt < kAttempts; ++attempt) {
+        const double mac = ns_per_elem(run_mac);
+        const double axpy = ns_per_elem([&] {
+          softfloat::fp_axpy_n(format, y.data(), x.data(), coeff, 0,
+                               out.data(), kN);
+        });
+        ratios.push_back(axpy > 0 ? mac / axpy : 0.0);
+        std::printf("  fp(%d,%d) attempt %d: mac %.2f ns/elem  axpy %.2f "
+                    "ns/elem  ratio %.2fx\n",
+                    format.we, format.wf, attempt + 1, mac, axpy,
+                    ratios.back());
+      }
+      const double ratio = runtime::percentile(ratios, 0.5);
+      if (!bits_equal) {
+        std::printf("  FAIL: fp(%d,%d) fp_mac_n differs from the scalar "
+                    "fp_mac oracle\n", format.we, format.wf);
+        ok = false;
+      }
+      if (ratio > kBound) {
+        std::printf("  FAIL: fp(%d,%d) median MAC/axpy cost ratio %.2fx above "
+                    "the %.1fx bound\n", format.we, format.wf, ratio, kBound);
+        ok = false;
+      } else if (bits_equal) {
+        std::printf("  PASS: fp(%d,%d) MAC <= %.1fx axpy per element, "
+                    "bit-exact (median of %d attempts: %.2fx)\n",
+                    format.we, format.wf, kBound, kAttempts, ratio);
+      }
     }
   }
 

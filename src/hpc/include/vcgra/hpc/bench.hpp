@@ -39,7 +39,13 @@ struct KernelReport {
   double compile_seconds = 0;
   double specialize_seconds = 0;  // coefficient binding (the DCS fast path)
   double reconfig_seconds = 0;    // modeled fabric respecialization
+  /// Executor time: the median of the warm re-runs when run() was asked
+  /// for any, else the cold first run's.
   double exec_seconds = 0;
+  double exec_min_seconds = 0;   // spread of the samples behind exec_seconds
+  double exec_max_seconds = 0;
+  double exec_cold_seconds = 0;  // the first run, on a cold plan and arena
+  int warm_runs = 0;
   /// Host-side streaming rate of the executor: input samples per wall
   /// second of simulator/executor time (the datapath throughput the
   /// plan-executor work optimizes; 0 when exec time was unmeasurably
@@ -118,11 +124,15 @@ class HpcBench {
   explicit HpcBench(HpcBenchOptions options = {});
 
   /// Compile + run one kernel through the service and validate it
-  /// against both references.
-  KernelReport run(const HpcKernel& kernel, std::uint64_t seed = 1);
+  /// against both references. `warm_runs` > 0 re-runs the job that many
+  /// times on the warm cache (each re-run's outputs must equal the first
+  /// run's bit for bit) and reports their median as exec_seconds.
+  KernelReport run(const HpcKernel& kernel, std::uint64_t seed = 1,
+                   int warm_runs = 0);
 
   /// The standard suite (kernels.hpp) at problem size n.
-  std::vector<KernelReport> run_suite(std::size_t n, std::uint64_t seed = 1);
+  std::vector<KernelReport> run_suite(std::size_t n, std::uint64_t seed = 1,
+                                      int warm_runs = 0);
 
   /// Tiled GEMM C[m x n] = A[m x k] * B[k x n]; each of the n output
   /// columns is decomposed into ceil(k / tile_k) adder-tree dot kernels

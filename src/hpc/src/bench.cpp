@@ -36,14 +36,25 @@ double HpcBench::tolerance_for(int rounding_depth) const {
          std::ldexp(4.0, -options_.arch.format.wf);
 }
 
-KernelReport HpcBench::run(const HpcKernel& kernel, std::uint64_t seed) {
-  runtime::JobRequest request;
-  request.kernel_text = kernel.kernel_text;
-  request.arch = options_.arch;
-  request.inputs = kernel.inputs;
-  request.params = kernel.params;
-  request.seed = seed;
-  const runtime::JobResult result = service_->run(std::move(request));
+KernelReport HpcBench::run(const HpcKernel& kernel, std::uint64_t seed,
+                          int warm_runs) {
+  const auto submit = [&] {
+    runtime::JobRequest request;
+    request.kernel_text = kernel.kernel_text;
+    request.arch = options_.arch;
+    request.inputs = kernel.inputs;
+    request.params = kernel.params;
+    request.seed = seed;
+    return service_->run(std::move(request));
+  };
+  const runtime::JobResult result = submit();
+  bool warm_identical = true;
+  std::vector<double> warm_seconds;
+  for (int r = 0; r < warm_runs; ++r) {
+    const runtime::JobResult warm = submit();
+    warm_seconds.push_back(warm.exec_seconds);
+    if (warm.run.outputs != result.run.outputs) warm_identical = false;
+  }
 
   KernelReport report;
   report.name = kernel.name;
@@ -55,7 +66,13 @@ KernelReport HpcBench::run(const HpcKernel& kernel, std::uint64_t seed) {
   report.compile_seconds = result.compile_seconds;
   report.specialize_seconds = result.specialize_seconds;
   report.reconfig_seconds = result.reconfig_seconds;
-  report.exec_seconds = result.exec_seconds;
+  report.exec_cold_seconds = result.exec_seconds;
+  report.warm_runs = warm_runs;
+  if (warm_seconds.empty()) warm_seconds.push_back(result.exec_seconds);
+  std::sort(warm_seconds.begin(), warm_seconds.end());
+  report.exec_seconds = runtime::percentile(warm_seconds, 0.5);
+  report.exec_min_seconds = warm_seconds.front();
+  report.exec_max_seconds = warm_seconds.back();
   report.cache_hit = result.cache_hit;
   report.structure_hit = result.structure_hit;
   report.plan_executed = result.plan_executed;
@@ -76,7 +93,7 @@ KernelReport HpcBench::run(const HpcKernel& kernel, std::uint64_t seed) {
   }
 
   // Oracle 1: bit-exact against the softfloat reference.
-  report.bit_exact = true;
+  report.bit_exact = warm_identical;
   const FpStreams expected = kernel.ref_softfloat(options_.arch.format);
   for (const auto& [name, stream] : expected) {
     const auto it = result.run.outputs.find(name);
@@ -114,10 +131,11 @@ KernelReport HpcBench::run(const HpcKernel& kernel, std::uint64_t seed) {
   return report;
 }
 
-std::vector<KernelReport> HpcBench::run_suite(std::size_t n, std::uint64_t seed) {
+std::vector<KernelReport> HpcBench::run_suite(std::size_t n, std::uint64_t seed,
+                                              int warm_runs) {
   std::vector<KernelReport> reports;
   for (const HpcKernel& kernel : standard_suite(n, seed)) {
-    reports.push_back(run(kernel, seed));
+    reports.push_back(run(kernel, seed, warm_runs));
   }
   return reports;
 }

@@ -74,6 +74,15 @@ void fp_xpay_n(const FpFormat& format, const std::uint64_t* x,
 /// `acc_bits`/`filled` carry the in-flight accumulation across blocks so
 /// callers can stream a long input through cache-sized chunks; both must
 /// start at 0 for a fresh stream. Returns the number of emitted outputs.
+/// `count` = 0 never emits.
+///
+/// Within one window the adds form a serial chain, but each window
+/// starts from +0 and sums only its own `count` products in order, so
+/// separate windows are independent. When a block holds at least 32
+/// whole windows, they run side by side as the lanes of fp_axpy_n calls
+/// (lane w accumulates window w). Each window keeps its own add order,
+/// so the output is bit-identical to the serial chain. The in-flight
+/// window carried in and the trailing partial window run serially.
 std::size_t fp_mac_n(const FpFormat& format, const std::uint64_t* x,
                      std::uint64_t coeff, std::uint32_t count,
                      std::uint64_t* out, std::size_t n,

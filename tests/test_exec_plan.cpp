@@ -12,6 +12,7 @@
 // implementations rather than against themselves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <future>
@@ -669,6 +670,121 @@ TEST(BatchKernels, MatchScalarOpsOnSpecialsLadenStreams) {
         ref_fill = 0;
       }
     }
+  }
+}
+
+// fp_mac_n against the scalar fp_mac oracle, table-driven: window
+// lengths on both sides of the window-parallel threshold (and past one
+// lane group of whole windows), every coefficient class, and the call
+// splits a streaming caller produces — one call, a cut inside a window,
+// a cut on a window edge, a cut inside a lane group, executor-sized
+// blocks, and calls shorter than one window. Carried accumulator and
+// fill must match too.
+TEST(BatchKernels, MacMatchesScalarOracleAcrossWindowsAndSplits) {
+  const FpFormat formats[] = {FpFormat::half_like(), FpFormat::paper(),
+                              FpFormat::single_like()};
+  const std::uint32_t counts[] = {1, 2, 3, 7, 16, 17, 64, 1000};
+  vcgra::common::Rng rng(0x3ac5);
+  for (const FpFormat& format : formats) {
+    const std::uint64_t coeffs[] = {
+        FpValue::from_double(format, 0.8125).bits(),
+        FpValue::from_double(format, -1.375).bits(),
+        FpValue::zero(format).bits(),
+        FpValue::zero(format, true).bits(),
+        FpValue::infinity(format).bits(),
+        FpValue::infinity(format, true).bits(),
+        FpValue::nan(format).bits(),
+        FpValue::from_fields(format, false, 1, 1).bits()};  // tiny
+    for (const std::uint32_t count : counts) {
+      // Enough whole windows for several lane groups at short counts and
+      // for the parallel path at every count, plus a partial tail.
+      const std::size_t windows = count <= 16 ? 600 : 40;
+      const std::size_t n = count * windows + count / 2 + 1;
+      std::vector<std::uint64_t> x(n);
+      for (std::uint64_t& v : x) v = random_operand(format, rng).bits();
+
+      // Cut points of each split plan (the final call runs to n).
+      const std::vector<std::pair<const char*, std::vector<std::size_t>>>
+          splits = [&] {
+            std::vector<std::pair<const char*, std::vector<std::size_t>>> out = {
+                {"one call", {}},
+                {"inside a window", {5 * count + count / 2 + 1}},
+                {"on a window edge", {5 * count, 300 * count}},
+                {"inside a lane group", {(windows / 2) * count + 1}},
+                {"executor blocks", {}},
+                {"shorter than a window", {}}};
+            for (std::size_t at = 1024; at < n; at += 1024) {
+              out[4].second.push_back(at);
+            }
+            const std::size_t step = count > 1 ? count - 1 : 1;
+            for (std::size_t at = step; at < n; at += step) {
+              out[5].second.push_back(at);
+            }
+            return out;
+          }();
+
+      for (const std::uint64_t coeff : coeffs) {
+        SCOPED_TRACE(vcgra::common::strprintf(
+            "fp(%d,%d) count %u coeff %llx", format.we, format.wf, count,
+            static_cast<unsigned long long>(coeff)));
+        const FpValue c(format, coeff);
+        std::vector<std::uint64_t> want;
+        FpValue ref_acc = FpValue::zero(format);
+        std::uint32_t ref_fill = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          ref_acc = sf::fp_mac(ref_acc, FpValue(format, x[i]), c);
+          if (++ref_fill == count) {
+            want.push_back(ref_acc.bits());
+            ref_acc = FpValue::zero(format);
+            ref_fill = 0;
+          }
+        }
+        for (const auto& [label, cuts] : splits) {
+          SCOPED_TRACE(label);
+          std::vector<std::uint64_t> got(n / count + 1);
+          std::uint64_t acc = 0;
+          std::uint32_t filled = 0;
+          std::size_t total = 0;
+          std::size_t begin = 0;
+          for (std::size_t k = 0; k <= cuts.size(); ++k) {
+            const std::size_t end = k < cuts.size() ? std::min(cuts[k], n) : n;
+            if (end <= begin) continue;
+            total += sf::fp_mac_n(format, x.data() + begin, coeff, count,
+                                  got.data() + total, end - begin, &acc,
+                                  &filled);
+            begin = end;
+          }
+          ASSERT_EQ(total, want.size());
+          for (std::size_t i = 0; i < total; ++i) {
+            ASSERT_EQ(got[i], want[i]) << "emit " << i;
+          }
+          ASSERT_EQ(acc, ref_acc.bits()) << "carried accumulator";
+          ASSERT_EQ(filled, ref_fill) << "carried fill";
+        }
+      }
+    }
+
+    // count == 0 never emits (and never divides): the accumulator just
+    // runs on, long past the parallel threshold.
+    constexpr std::size_t kN = 4096;
+    std::vector<std::uint64_t> x(kN);
+    for (std::uint64_t& v : x) {
+      v = FpValue::from_double(format, rng.next_double() - 0.5).bits();
+    }
+    const std::uint64_t coeff = FpValue::from_double(format, 0.75).bits();
+    std::vector<std::uint64_t> untouched(4, 0x5a5a5a5aULL);
+    std::uint64_t acc = 0;
+    std::uint32_t filled = 0;
+    ASSERT_EQ(sf::fp_mac_n(format, x.data(), coeff, 0, untouched.data(), kN,
+                           &acc, &filled),
+              0u);
+    FpValue ref_acc = FpValue::zero(format);
+    for (const std::uint64_t v : x) {
+      ref_acc = sf::fp_mac(ref_acc, FpValue(format, v), FpValue(format, coeff));
+    }
+    EXPECT_EQ(acc, ref_acc.bits());
+    EXPECT_EQ(filled, kN);
+    EXPECT_EQ(untouched, std::vector<std::uint64_t>(4, 0x5a5a5a5aULL));
   }
 }
 
