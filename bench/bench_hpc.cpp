@@ -48,14 +48,12 @@ std::string kernels_json(const std::vector<hpc::KernelReport>& reports) {
         "\"exec_seconds\": %.9f, \"exec_min_seconds\": %.9f, "
         "\"exec_max_seconds\": %.9f, \"warm_runs\": %d, "
         "\"exec_cold_seconds\": %.9f, \"elements_per_second\": %.1f, "
-        "\"compile_seconds\": %.9f, \"bit_exact\": %s, "
-        "\"plan_executed\": %s}",
+        "\"compile_seconds\": %.9f, \"bit_exact\": %s}",
         report.name.c_str(), report.samples, report.pes_used,
         static_cast<unsigned long long>(report.cycles), report.flop_per_cycle,
         report.exec_seconds, report.exec_min_seconds, report.exec_max_seconds,
         report.warm_runs, report.exec_cold_seconds, report.elements_per_second,
-        report.compile_seconds, report.bit_exact ? "true" : "false",
-        report.plan_executed ? "true" : "false");
+        report.compile_seconds, report.bit_exact ? "true" : "false");
   }
   return json;
 }

@@ -53,7 +53,6 @@ struct KernelReport {
   double elements_per_second = 0;
   bool cache_hit = false;
   bool structure_hit = false;     // place & route skipped for this kernel
-  bool plan_executed = false;     // ran on the precompiled-plan datapath
   bool bit_exact = false;         // outputs == softfloat reference, bitwise
   double max_rel_err = 0;         // vs the double reference
   double tolerance = 0;

@@ -75,7 +75,6 @@ KernelReport HpcBench::run(const HpcKernel& kernel, std::uint64_t seed,
   report.exec_max_seconds = warm_seconds.back();
   report.cache_hit = result.cache_hit;
   report.structure_hit = result.structure_hit;
-  report.plan_executed = result.plan_executed;
   if (report.exec_seconds > 0) {
     report.elements_per_second =
         static_cast<double>(report.samples) / report.exec_seconds;

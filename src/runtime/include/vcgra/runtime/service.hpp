@@ -7,7 +7,10 @@
 //        |              miss -> synth/map/place/route once, share forever
 //   ReconfigScheduler   pick the virtual grid instance whose loaded
 //        |              configuration is cheapest to respecialize
-//   ExecutorPool        run the cycle-level Simulator on a worker thread
+//   ExecutorPool        run the job's precompiled execution plan on a
+//                       worker thread (PlanExecutor; the cycle-level
+//                       Simulator stays outside the service as the
+//                       reference oracle tests compare against)
 //
 // Determinism: placement is seeded per job (JobRequest::seed feeds the
 // compiler's annealer) and simulation is pure, so results are bit-exact
@@ -49,8 +52,6 @@ struct JobRequest {
   std::map<std::string, std::vector<std::uint64_t>> input_bits;
   /// Return output streams as u64 encodings (RunResult::bit_outputs)
   /// instead of FpValue vectors, skipping the value materialization.
-  /// Both engines honor it; the interpreter converts at the boundary so
-  /// it stays the bit-exact oracle for the raw mode too.
   bool raw_output = false;
   /// Coefficient overrides applied on top of the kernel text's `param`
   /// defaults. Same text + different params shares one place & route:
@@ -73,14 +74,11 @@ struct JobResult {
   int instance = -1;            // virtual grid instance that executed the job
   bool reconfigured = false;    // that instance had to load a new overlay
   bool param_respecialized = false;  // ... by swapping only coefficient words
-  /// Ran on the precompiled-plan executor (the steady-state datapath)
-  /// rather than the legacy interpreter.
-  bool plan_executed = false;
   double compile_seconds = 0;   // place-&-route time this job paid (0 on a hit)
   double specialize_seconds = 0;  // coefficient-binding time this job paid
   double disk_load_seconds = 0;   // store read + deserialize time this job paid
   double reconfig_seconds = 0;  // modeled fabric respecialization cost
-  double exec_seconds = 0;      // simulator time
+  double exec_seconds = 0;      // datapath time, stream boundary included
   double queue_seconds = 0;     // submit -> a worker picked the job up
   double latency_seconds = 0;   // submit -> result ready
   /// Per-stage latency decomposition (queue.wait, cache.lookup,
@@ -108,12 +106,6 @@ struct ServiceOptions {
   enum class CostModel { kRegisterDiff, kScg };
   CostModel cost_model = CostModel::kRegisterDiff;
   overlay::SimOptions sim;
-  /// Execute jobs on the precompiled-plan datapath (lowered once per
-  /// cached specialization, allocation-free batched execution). Off
-  /// routes every job through the legacy cycle-level interpreter — the
-  /// reference oracle the differential suite compares against; results
-  /// are bit-identical either way (outputs, cycles, fp/mac op counts).
-  bool use_plan_executor = true;
   /// How many queued jobs the batch scheduler scans for one whose overlay
   /// is already loaded on a free instance before falling back to FIFO.
   std::size_t schedule_scan_window = 32;
@@ -124,7 +116,7 @@ struct ServiceOptions {
   /// fetch, trace scope) are paid once per batch. The cap doubles as the
   /// fairness bound: a differently-keyed job behind a batch is delayed
   /// by at most max_batch_jobs - 1 queue-jumping jobs per drain. 1
-  /// disables fusion; the interpreter path never fuses.
+  /// disables fusion (every drain then executes a batch of one).
   std::size_t max_batch_jobs = 16;
   /// Persistent overlay store directory. When non-empty the cache gains
   /// its disk tier: structure misses deserialize published records
@@ -245,6 +237,9 @@ class OverlayService {
   /// Block until every queued job has completed.
   void wait_idle();
 
+  /// Counts and latency populations over every finished job. A job's
+  /// counts are visible once its future is ready: the worker records
+  /// them before fulfilling any promise of its batch.
   ServiceStats stats() const;
 
   /// Latest windowed health report from the continuous monitor. All-ok
@@ -275,7 +270,7 @@ class OverlayService {
     CacheKeys keys;
     std::string config_key;  // keys.full(); scheduler + batch affinity
     /// Parse/merge failure captured at submit so submit() itself never
-    /// throws; execute() rethrows it into the job's future.
+    /// throws; execute() fails the job's future with it.
     std::exception_ptr front_end_error;
     std::promise<JobResult> promise;
     common::WallTimer since_submit;
@@ -300,11 +295,10 @@ class OverlayService {
   std::shared_ptr<const overlay::ParsedKernel> parse_cached(
       const std::string& kernel_text);
   void drain_one();
-  JobResult execute(PendingJob& job);
-  /// Execute `batch` (>= 2 jobs sharing one config_key) as a single
-  /// fused plan sweep; fulfills every job's promise and does all the
-  /// success/failure accounting itself.
-  void execute_fused(std::vector<std::unique_ptr<PendingJob>>& batch);
+  /// Execute `batch` (>= 1 jobs sharing one config_key; a lone job is a
+  /// batch of one) as a single plan sweep. Does all the success/failure
+  /// accounting, then fulfills every job's promise.
+  void execute(std::vector<std::unique_ptr<PendingJob>>& batch);
   void record_result(const JobResult& result);
   void note_task_submitted();
   void note_task_completed(double latency_seconds);

@@ -197,7 +197,6 @@ JobResult OverlayService::run(JobRequest request) {
 void OverlayService::wait_idle() { pool_.wait_idle(); }
 
 void OverlayService::drain_one() {
-  std::unique_ptr<PendingJob> job;
   std::vector<std::unique_ptr<PendingJob>> batch;
   {
     // Reconfiguration-aware batching: prefer a queued job whose overlay is
@@ -240,18 +239,17 @@ void OverlayService::drain_one() {
       if (have_structure_pick) pick = structure_pick;
     }
     if (pick != 0) ++pending_.front()->deferrals;
-    job = std::move(pending_[pick]);
+    batch.push_back(std::move(pending_[pick]));
     pending_.erase(pending_.begin() + static_cast<long>(pick));
     // Fused-batch gather: every queued job sharing the picked job's exact
     // configuration rides this drain as one plan sweep (up to the
     // fairness cap, so a flood of one kernel cannot monopolize a worker).
     // The wakeups those jobs enqueued become harmless empty-queue pops.
-    if (options_.use_plan_executor && options_.max_batch_jobs > 1 &&
-        !job->front_end_error) {
+    if (options_.max_batch_jobs > 1 && !batch.front()->front_end_error) {
+      const std::string& key = batch.front()->config_key;
       for (std::size_t i = 0;
-           i < pending_.size() && batch.size() + 1 < options_.max_batch_jobs;) {
-        if (!pending_[i]->front_end_error &&
-            pending_[i]->config_key == job->config_key) {
+           i < pending_.size() && batch.size() < options_.max_batch_jobs;) {
+        if (!pending_[i]->front_end_error && pending_[i]->config_key == key) {
           batch.push_back(std::move(pending_[i]));
           pending_.erase(pending_.begin() + static_cast<long>(i));
         } else {
@@ -260,211 +258,14 @@ void OverlayService::drain_one() {
       }
     }
   }
-
-  if (!batch.empty()) {
-    batch.insert(batch.begin(), std::move(job));
-    execute_fused(batch);
-    return;
-  }
-
-  try {
-    const JobResult result = execute(*job);
-    record_result(result);
-    job->promise.set_value(result);
-  } catch (...) {
-    service_metrics().failed.add(1);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++jobs_failed_;
-    }
-    job->promise.set_exception(std::current_exception());
-  }
+  execute(batch);
 }
 
-JobResult OverlayService::execute(PendingJob& job) {
-  if (job.front_end_error) std::rethrow_exception(job.front_end_error);
-  JobResult result;
-  const JobRequest& request = job.request;
-
-  // Queue wait is the one stage that spans two threads: it started at
-  // submit() and ends here, when a worker picks the job up.
-  const std::uint64_t picked_ns = telemetry::trace_now_ns();
-  const std::uint64_t queue_ns = picked_ns - job.submit_ns;
-  result.queue_seconds = static_cast<double>(queue_ns) * 1e-9;
-
-  telemetry::JobTrace trace;
-  {
-    telemetry::JobTraceScope tracing(&trace);
-
-    CacheOutcome outcome;
-    std::shared_ptr<const overlay::Compiled> compiled;
-    {
-      VCGRA_TRACE_SPAN("cache.lookup");
-      compiled = cache_.get_or_specialize(job.keys, *job.parsed, request.arch,
-                                          request.seed, job.binding, &outcome);
-    }
-    result.cache_hit = outcome.hit;
-    result.structure_hit = outcome.structure_hit;
-    result.disk_hit = outcome.disk_hit;
-    result.compile_seconds = outcome.compile_seconds;
-    result.specialize_seconds = outcome.specialize_seconds;
-    result.disk_load_seconds = outcome.disk_load_seconds;
-
-    std::unique_ptr<InstanceLease> lease;
-    {
-      VCGRA_TRACE_SPAN("sched.acquire");
-      const Assignment assignment =
-          scheduler_.acquire(job.config_key, job.keys.structure, compiled);
-      lease = std::make_unique<InstanceLease>(scheduler_, assignment.instance);
-      result.instance = assignment.instance;
-      result.reconfigured = assignment.reconfigured;
-      result.param_respecialized = assignment.param_only;
-      result.reconfig_seconds = assignment.reconfig_seconds;
-    }
-
-    // Steady-state datapath: the cached specialization's precompiled
-    // execution plan (lowered lazily, reused across jobs) runs the job on
-    // the batched bit-level executor; the legacy interpreter remains as
-    // the reference path when the plan executor is disabled. Plan lookup
-    // (and a first-touch lowering) happens before the exec timer starts,
-    // so exec_seconds stays a pure datapath measurement.
-    std::shared_ptr<const overlay::ExecPlan> plan;
-    if (options_.use_plan_executor) {
-      VCGRA_TRACE_SPAN("plan.fetch");
-      plan = cache_.plan_for(job.keys, compiled, options_.sim);
-      result.plan_executed = true;
-    }
-    VCGRA_TRACE_SPAN("exec.run");
-    common::WallTimer exec;
-
-    // Cached artifacts carry canonical (alpha-renamed) signal names so
-    // isomorphic kernels share them; the job's streams use the kernel's
-    // real names. Translate at the boundary — both directions are
-    // identities for kernels already written in canonical names.
-    // Streams are moved, not copied: the request is dead after execute().
-    const bool canonical = job.parsed->names_are_canonical;
-    std::map<std::string, std::vector<double>> renamed_inputs;
-    std::map<std::string, std::vector<std::uint64_t>> renamed_bits;
-    if (!canonical) {
-      for (auto& [name, stream] : job.request.inputs) {
-        // A stray input whose name collides with another stream's
-        // canonical name must fail loudly (pre-rename it would have been
-        // rejected by the simulator), never silently clobber real data.
-        if (!renamed_inputs.emplace(job.parsed->canonical_name(name),
-                                    std::move(stream)).second) {
-          throw std::invalid_argument(
-              "input stream '" + name + "' collides with another stream after "
-              "canonicalization");
-        }
-      }
-      for (auto& [name, stream] : job.request.input_bits) {
-        if (!renamed_bits.emplace(job.parsed->canonical_name(name),
-                                  std::move(stream)).second) {
-          throw std::invalid_argument(
-              "input stream '" + name + "' collides with another stream after "
-              "canonicalization");
-        }
-      }
-    }
-    const auto& dstreams = canonical ? request.inputs : renamed_inputs;
-    const auto& bstreams = canonical ? request.input_bits : renamed_bits;
-
-    if (plan && bstreams.empty() && !request.raw_output) {
-      // The common all-doubles plan path.
-      result.run = overlay::PlanExecutor(plan).run_doubles(dstreams);
-    } else if (plan) {
-      // Raw-bits boundary on the plan path: a fused batch of one, so the
-      // single-job and batched entry points share one codepath.
-      overlay::BatchInputs in;
-      for (const auto& [name, stream] : dstreams) {
-        in.emplace(name, overlay::BatchStream{nullptr, stream.data(),
-                                              stream.size()});
-      }
-      for (const auto& [name, stream] : bstreams) {
-        if (!in.emplace(name, overlay::BatchStream{stream.data(), nullptr,
-                                                   stream.size()}).second) {
-          throw std::invalid_argument(
-              "input stream '" + name +
-              "' provided as both doubles and raw bits");
-        }
-      }
-      std::vector<overlay::BatchInputs> batch_in;
-      batch_in.push_back(std::move(in));
-      auto outcomes = overlay::PlanExecutor(plan).run_batch(
-          batch_in, {request.raw_output});
-      if (outcomes[0].error) std::rethrow_exception(outcomes[0].error);
-      result.run = std::move(outcomes[0].run);
-    } else {
-      // Interpreter path. Raw bits are converted with the scalar FpValue
-      // boundary (never the batch encoder/decoder) so the interpreter
-      // stays an independent oracle for the plan executor.
-      if (bstreams.empty() && !request.raw_output) {
-        result.run =
-            overlay::Simulator(compiled, options_.sim).run_doubles(dstreams);
-      } else {
-        const softfloat::FpFormat format = request.arch.format;
-        std::map<std::string, std::vector<softfloat::FpValue>> fp_inputs;
-        for (const auto& [name, stream] : dstreams) {
-          std::vector<softfloat::FpValue>& values = fp_inputs[name];
-          values.reserve(stream.size());
-          for (const double v : stream) {
-            values.push_back(softfloat::FpValue::from_double(format, v));
-          }
-        }
-        for (const auto& [name, stream] : bstreams) {
-          if (fp_inputs.count(name)) {
-            throw std::invalid_argument(
-                "input stream '" + name +
-                "' provided as both doubles and raw bits");
-          }
-          std::vector<softfloat::FpValue>& values = fp_inputs[name];
-          values.reserve(stream.size());
-          for (const std::uint64_t bits : stream) {
-            values.push_back(softfloat::FpValue(format, bits));
-          }
-        }
-        result.run = overlay::Simulator(compiled, options_.sim).run(fp_inputs);
-        if (request.raw_output) {
-          for (auto& [name, stream] : result.run.outputs) {
-            std::vector<std::uint64_t> bits(stream.size());
-            for (std::size_t i = 0; i < stream.size(); ++i) {
-              bits[i] = stream[i].bits();
-            }
-            result.run.bit_outputs.emplace(name, std::move(bits));
-          }
-          result.run.outputs.clear();
-        }
-      }
-    }
-    translate_outputs(*job.parsed, result.run);
-    result.exec_seconds = exec.seconds();
-  }
-
-  // The queue-wait span joins the collector (depth 0, so it counts as a
-  // stage) and the global rings after the scope closes — its start
-  // predates the scope, so the guard path cannot record it.
-  trace.add("queue.wait", 0, job.submit_ns, queue_ns);
-  telemetry::Tracer::record_span("queue.wait", job.submit_ns, queue_ns,
-                                 trace.trace_id);
-  result.stages = trace.stage_breakdown();
-  result.trace_id = trace.trace_id;
-  result.latency_seconds = job.since_submit.seconds();
-
-  if (options_.slow_job_threshold > 0 &&
-      result.latency_seconds >= options_.slow_job_threshold) {
-    VCGRA_LOG_WARN() << "slow job trace " << trace.trace_id << " ("
-                     << common::human_seconds(result.latency_seconds)
-                     << " >= " << common::human_seconds(
-                            options_.slow_job_threshold)
-                     << " threshold) span tree:\n" << trace.tree_string();
-  }
-  return result;
-}
-
-void OverlayService::execute_fused(
-    std::vector<std::unique_ptr<PendingJob>>& batch) {
+void OverlayService::execute(std::vector<std::unique_ptr<PendingJob>>& batch) {
   const std::size_t njobs = batch.size();
   PendingJob& lead = *batch.front();
+  // Queue wait is the one stage that spans two threads: it started at
+  // submit() and ends here, when a worker picks the batch up.
   const std::uint64_t picked_ns = telemetry::trace_now_ns();
 
   // Shared outcome of the one-time work (lookup, acquire, plan fetch):
@@ -472,13 +273,14 @@ void OverlayService::execute_fused(
   JobResult shared;
   shared.batch_size = static_cast<int>(njobs);
   std::vector<overlay::PlanExecutor::BatchOutcome> outcomes;
-  std::vector<std::exception_ptr> job_error(njobs);  // boundary failures
+  std::vector<std::exception_ptr> job_error(njobs);  // why each job failed
   std::vector<std::size_t> slot_of;  // outcomes index -> batch index
   std::exception_ptr batch_error;    // shared-stage failure fails everyone
   telemetry::JobTrace trace;
   double exec_share = 0;
 
   try {
+    if (lead.front_end_error) std::rethrow_exception(lead.front_end_error);
     telemetry::JobTraceScope tracing(&trace);
 
     CacheOutcome outcome;
@@ -508,17 +310,25 @@ void OverlayService::execute_fused(
       shared.reconfig_seconds = assignment.reconfig_seconds;
     }
 
+    // The cached specialization's precompiled execution plan (lowered
+    // lazily, reused across jobs). Plan lookup (and a first-touch
+    // lowering) happens before the exec timer starts, so exec_seconds
+    // stays a datapath-and-boundary measurement.
     std::shared_ptr<const overlay::ExecPlan> plan;
     {
       VCGRA_TRACE_SPAN("plan.fetch");
       plan = cache_.plan_for(lead.keys, compiled, options_.sim);
     }
-    shared.plan_executed = true;
+    VCGRA_TRACE_SPAN("exec.run");
+    common::WallTimer exec;
 
     // Per-job input views resolved to plan buffer indices. The views
-    // borrow from the requests, which outlive the sweep. A job whose
-    // streams fail translation is excluded from the sweep and fails
-    // alone; the rest of the batch runs.
+    // borrow from the requests, which outlive the sweep. Cached
+    // artifacts carry canonical (alpha-renamed) signal names so
+    // isomorphic kernels share them; the job's streams use the kernel's
+    // real names, translated here. A job whose streams fail translation
+    // is excluded from the sweep and fails alone; the rest of the batch
+    // runs.
     //
     // The batch shares one configuration, so the lead's stream names
     // are resolved (canonical translation + plan buffer lookup) once;
@@ -613,9 +423,12 @@ void OverlayService::execute_fused(
       }
     }
 
-    VCGRA_TRACE_SPAN("exec.run");
-    common::WallTimer exec;
     outcomes = executor.run_batch_resolved(inputs, raw);
+    for (std::size_t k = 0; k < outcomes.size(); ++k) {
+      if (!outcomes[k].error) {
+        translate_outputs(*batch[slot_of[k]]->parsed, outcomes[k].run);
+      }
+    }
     // Each job reports an equal share of the sweep so sums over jobs
     // still total the real datapath time.
     exec_share = exec.seconds() / static_cast<double>(njobs);
@@ -623,8 +436,10 @@ void OverlayService::execute_fused(
     batch_error = std::current_exception();
   }
 
-  // The lead job's queue wait stands in for the batch in the trace; each
-  // JobResult still carries its own queue_seconds below.
+  // The queue-wait span joins the collector (depth 0, so it counts as a
+  // stage) and the global rings after the scope closes — its start
+  // predates the scope, so the guard path cannot record it. The lead's
+  // wait stands in for the batch; each JobResult carries its own below.
   trace.add("queue.wait", 0, lead.submit_ns, picked_ns - lead.submit_ns);
   telemetry::Tracer::record_span("queue.wait", lead.submit_ns,
                                  picked_ns - lead.submit_ns, trace.trace_id);
@@ -635,18 +450,23 @@ void OverlayService::execute_fused(
     outcome_of[slot_of[k]] = &outcomes[k];
   }
 
+  // Every count lands before the first promise is fulfilled, so a
+  // caller whose future is ready reads its job in stats().
+  std::vector<JobResult> results(njobs);
   std::uint64_t failed = 0;
   for (std::size_t j = 0; j < njobs; ++j) {
     PendingJob& job = *batch[j];
-    std::exception_ptr error = batch_error;
-    if (!error) error = job_error[j];
-    if (!error && outcome_of[j] != nullptr) error = outcome_of[j]->error;
-    if (error) {
+    if (batch_error) {
+      job_error[j] = batch_error;
+    } else if (!job_error[j] && outcome_of[j] != nullptr) {
+      job_error[j] = outcome_of[j]->error;
+    }
+    if (job_error[j]) {
       ++failed;
-      job.promise.set_exception(error);
       continue;
     }
-    JobResult result = shared;
+    JobResult& result = results[j];
+    result = shared;
     if (j > 0) {
       // Followers are cache hits by construction: the one-time costs
       // (compile, specialize, disk load, reconfig) stay on the lead so
@@ -662,7 +482,6 @@ void OverlayService::execute_fused(
       result.reconfig_seconds = 0;
     }
     result.run = std::move(outcome_of[j]->run);
-    translate_outputs(*job.parsed, result.run);
     result.exec_seconds = exec_share;
     result.queue_seconds =
         static_cast<double>(picked_ns - job.submit_ns) * 1e-9;
@@ -677,15 +496,31 @@ void OverlayService::execute_fused(
     result.trace_id = trace.trace_id;
     result.latency_seconds = job.since_submit.seconds();
     record_result(result);
-    job.promise.set_value(std::move(result));
+    if (options_.slow_job_threshold > 0 &&
+        result.latency_seconds >= options_.slow_job_threshold) {
+      VCGRA_LOG_WARN() << "slow job trace " << trace.trace_id << " ("
+                       << common::human_seconds(result.latency_seconds)
+                       << " >= " << common::human_seconds(
+                              options_.slow_job_threshold)
+                       << " threshold) span tree:\n" << trace.tree_string();
+    }
   }
-
   if (failed > 0) service_metrics().failed.add(failed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     jobs_failed_ += failed;
-    ++fused_batches_;
-    batched_jobs_ += njobs;
+    if (njobs > 1) {
+      ++fused_batches_;
+      batched_jobs_ += njobs;
+    }
+  }
+
+  for (std::size_t j = 0; j < njobs; ++j) {
+    if (job_error[j]) {
+      batch[j]->promise.set_exception(job_error[j]);
+    } else {
+      batch[j]->promise.set_value(std::move(results[j]));
+    }
   }
 }
 

@@ -20,6 +20,15 @@
 // arena is warm — processing streams in cache-friendly blocks through
 // the format-specialized batch kernels of softfloat/batch.hpp.
 //
+// Every entry point (run, run_doubles, run_batch, run_batch_resolved,
+// run_views, run_chunk) is a thin adapter over ONE execution core: N >= 1
+// resolved jobs laid out as stripes, an optional StreamCarry, and an
+// output mode (FpValue streams, raw bits, or arena views). A lone job is
+// a batch of one; a session chunk is a batch of one with a carry. The
+// core sizes and validates every job once, encodes the boundary once,
+// sweeps the tape once in blocks over the stripes, and materializes the
+// outputs once.
+//
 // Bit-exactness with the legacy Simulator (outputs, cycles, fp_ops,
 // mac_ops, pipeline_depth) is a hard contract across all FP formats; the
 // interpreter stays as the reference oracle and test_exec_plan's
@@ -92,68 +101,18 @@ struct ExecPlan {
   static ExecPlan lower(const Compiled& compiled, const SimOptions& options = {});
 };
 
-/// Reusable per-thread execution scratch: one word pool for every stream
-/// buffer of a job plus the small per-run bookkeeping vectors. Capacity
-/// only ever grows (geometrically, counted in `Stats::grows`), so a warm
-/// arena serves any same-or-smaller job with zero heap allocation — the
-/// property bench_runtime gate [F] and the arena-reuse tests assert.
-class ExecArena {
- public:
-  struct MacState {
-    std::uint64_t acc = 0;       // +0 in any format
-    std::uint32_t filled = 0;
-    std::size_t consumed = 0;    // input samples folded so far
-  };
-  struct Stats {
-    std::uint64_t jobs = 0;   // begin_job calls
-    std::uint64_t grows = 0;  // capacity increases (any internal pool)
-    std::size_t capacity_words = 0;
-    std::size_t high_water_words = 0;  // largest single-job word demand
-  };
-
-  /// The calling thread's arena (thread_local storage).
-  static ExecArena& this_thread();
-
-  /// Start a job: reset cursors and size the bookkeeping for `buffers`
-  /// streams and `mac_ops` MAC states.
-  void begin_job(std::size_t buffers, std::size_t mac_ops);
-  /// Guarantee `words` of stable pool storage for this job (called once,
-  /// after the job's buffer lengths are known).
-  void reserve_words(std::size_t words);
-  /// Bump-allocate from the reserved pool (stable until the next
-  /// reserve_words; never grows mid-job).
-  std::uint64_t* take(std::size_t words);
-
-  std::vector<std::size_t>& lengths() { return lengths_; }
-  std::vector<std::size_t>& offsets() { return offsets_; }
-  std::vector<std::size_t>& produced() { return produced_; }
-  std::vector<MacState>& mac_states() { return mac_states_; }
-  std::uint64_t* words() { return pool_.data(); }
-
-  const Stats& stats() const { return stats_; }
-
- private:
-  template <typename T>
-  void ensure(std::vector<T>& vec, std::size_t n);
-
-  std::vector<std::uint64_t> pool_;
-  std::size_t used_ = 0;
-  std::vector<std::size_t> lengths_, offsets_, produced_;
-  std::vector<MacState> mac_states_;
-  Stats stats_;
-};
-
-/// One input stream of a fused-batch job, in either encoding: exactly
-/// one of `bits` (u64 encodings in the plan's format) or `doubles` is
+/// One input stream of a job, in any encoding: exactly one of `bits`
+/// (u64 encodings in the plan's format), `doubles` or `values` is
 /// non-null. The view borrows the caller's storage for the duration of
-/// the run_batch call.
+/// the executor call.
 struct BatchStream {
   const std::uint64_t* bits = nullptr;
   const double* doubles = nullptr;
   std::size_t size = 0;
+  const softfloat::FpValue* values = nullptr;
 };
 
-/// A fused-batch job's input streams, keyed by DFG input name.
+/// A job's input streams, keyed by DFG input name.
 using BatchInputs = std::map<std::string, BatchStream>;
 
 /// A pre-resolved input stream: `buffer` is the plan's dense buffer
@@ -168,6 +127,69 @@ struct ResolvedStream {
 /// One job's input streams in resolved form (any order, one entry per
 /// provided input).
 using ResolvedJob = std::vector<ResolvedStream>;
+
+/// Reusable per-thread execution scratch: one word pool for every stream
+/// buffer of a call plus the small per-call bookkeeping vectors. Capacity
+/// only ever grows (geometrically, counted in `Stats::grows`), so a warm
+/// arena serves any same-or-smaller call with zero heap allocation — the
+/// property bench_runtime gate [F] and the arena-reuse tests assert.
+class ExecArena {
+ public:
+  struct MacState {
+    std::uint64_t acc = 0;       // +0 in any format
+    std::uint32_t filled = 0;
+    std::size_t consumed = 0;    // input samples folded so far
+  };
+  /// One buffer across the jobs of a call: the jobs' segments laid back
+  /// to back from word `base`, `produced` of its `size` words written.
+  struct Stripe {
+    std::size_t base = 0;
+    std::size_t size = 0;
+    std::size_t produced = 0;
+  };
+  struct Stats {
+    std::uint64_t jobs = 0;   // begin_job calls
+    std::uint64_t grows = 0;  // capacity increases (any internal pool)
+    std::size_t capacity_words = 0;
+    std::size_t high_water_words = 0;  // largest single-call word demand
+  };
+
+  /// The calling thread's arena (thread_local storage).
+  static ExecArena& this_thread();
+
+  /// Start a call of `jobs` jobs: reset cursors and size the bookkeeping
+  /// for `buffers` stripes of `jobs` segments and `mac_ops` MAC states.
+  void begin_job(std::size_t buffers, std::size_t jobs, std::size_t mac_ops);
+  /// Guarantee `words` of stable pool storage for this call (called
+  /// once, after every segment length is known).
+  void reserve_words(std::size_t words);
+  /// Bump-allocate from the reserved pool (stable until the next
+  /// reserve_words; never grows mid-call).
+  std::uint64_t* take(std::size_t words);
+  /// Cleared scratch for one job's resolved streams, with room for
+  /// `streams` entries (the name-keyed entry points resolve into it).
+  ResolvedJob& scratch_job(std::size_t streams);
+
+  std::vector<std::size_t>& lengths() { return lengths_; }  // [buffer * jobs + job]
+  std::vector<std::size_t>& offsets() { return offsets_; }  // within the stripe
+  std::vector<Stripe>& stripes() { return stripes_; }
+  std::vector<MacState>& mac_states() { return mac_states_; }
+  std::uint64_t* words() { return pool_.data(); }
+
+  const Stats& stats() const { return stats_; }
+
+ private:
+  template <typename T>
+  void ensure(std::vector<T>& vec, std::size_t n);
+
+  std::vector<std::uint64_t> pool_;
+  std::size_t used_ = 0;
+  std::vector<std::size_t> lengths_, offsets_;
+  std::vector<Stripe> stripes_;
+  std::vector<MacState> mac_states_;
+  ResolvedJob scratch_;
+  Stats stats_;
+};
 
 /// Cross-chunk streaming state of one specialization: the plan's
 /// MAC/decimation accumulators plus the cumulative op totals, promoted
@@ -215,9 +237,11 @@ class PlanExecutor {
 
   /// Execute N jobs that share this specialization as ONE tape sweep:
   /// every stream buffer becomes a stripe of per-job segments laid out
-  /// back to back, each elementwise op runs as a single batch-kernel
-  /// call over its whole stripe (coefficient decode amortized once per
-  /// batch), and MAC ops keep one MacState per (op, job). Per-job
+  /// back to back, each elementwise op runs as batch-kernel calls over
+  /// its stripe in cache-sized blocks (coefficient decode amortized once
+  /// per block, not per job), and only MAC ops — plus a two-stream mul
+  /// whose second operand is longer in some job — walk the per-job
+  /// segments, restarting the accumulator at each job's start. Per-job
   /// results — outputs, cycles, fp_ops, mac_ops — are bit-identical to
   /// running each job alone through run()/run_doubles() (element
   /// independence of the kernels plus fp_mac_n's chunking invariance

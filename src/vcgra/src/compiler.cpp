@@ -60,10 +60,12 @@ std::vector<std::uint32_t> VcgraSettings::register_words(
     words.push_back(static_cast<std::uint32_t>(pe.coeff_bits >> 32));
   }
   // VSB registers: pack routed hop directions, 2 bits per hop, one word
-  // per VSB (summarized occupancy view).
+  // per VSB (summarized occupancy view). A 1-row or 1-column grid has no
+  // VSBs, and its clamp ranges below would be empty.
   std::vector<std::uint32_t> vsb_words(
       static_cast<std::size_t>(std::max(0, arch.num_vsbs())), 0);
   for (const auto& net : routes) {
+    if (vsb_words.empty()) break;
     for (std::size_t h = 1; h < net.hops.size(); ++h) {
       const auto [r, c] = net.hops[h - 1];
       const int vr = std::clamp(r, 0, arch.rows - 2);

@@ -283,16 +283,16 @@ void ExecArena::ensure(std::vector<T>& vec, std::size_t n) {
   vec.resize(n);
 }
 
-void ExecArena::begin_job(std::size_t buffers, std::size_t mac_ops) {
+void ExecArena::begin_job(std::size_t buffers, std::size_t jobs,
+                          std::size_t mac_ops) {
   ++stats_.jobs;
   used_ = 0;
-  ensure(lengths_, buffers);
-  ensure(offsets_, buffers);
-  ensure(produced_, buffers);
+  ensure(lengths_, buffers * jobs);
+  ensure(offsets_, buffers * jobs);
+  ensure(stripes_, buffers);
   ensure(mac_states_, mac_ops);
   std::fill(lengths_.begin(), lengths_.end(), kAbsent);
-  std::fill(offsets_.begin(), offsets_.end(), std::size_t{0});
-  std::fill(produced_.begin(), produced_.end(), std::size_t{0});
+  std::fill(stripes_.begin(), stripes_.end(), Stripe{});
   std::fill(mac_states_.begin(), mac_states_.end(), MacState{});
 }
 
@@ -324,6 +324,12 @@ std::uint64_t* ExecArena::take(std::size_t words) {
   return out;
 }
 
+ResolvedJob& ExecArena::scratch_job(std::size_t streams) {
+  ensure(scratch_, streams);
+  scratch_.clear();
+  return scratch_;
+}
+
 // --- PlanExecutor ------------------------------------------------------------
 
 PlanExecutor::PlanExecutor(std::shared_ptr<const ExecPlan> plan)
@@ -335,46 +341,59 @@ PlanExecutor::PlanExecutor(std::shared_ptr<const ExecPlan> plan)
 
 namespace {
 
-/// Shared body of run()/run_doubles(): validate names and lengths like
-/// the interpreter, size every stream buffer, reserve the arena once,
-/// seed the inputs with one batch pass, then sweep the tape in blocks.
-/// `seed_one(stream, dst)` encodes/copies one provided stream into its
-/// arena buffer.
-template <typename StreamMap, typename SeedOne>
-RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs,
-                       SeedOne&& seed_one) {
-  RunResult result;
+/// Where the core leaves each job's results.
+struct CoreOutput {
+  /// One per job. An `error` set on entry excludes that job; the core
+  /// sets it on a job the acceptance rules reject and fills `run`
+  /// (outputs and counters) for every other job.
+  PlanExecutor::BatchOutcome* outcomes = nullptr;
+  /// Per-job raw-bits flags; nullptr means every job takes `raw`.
+  const std::vector<bool>* raw_flags = nullptr;
+  bool raw = false;
+  /// Views mode (one job): outputs become borrowed arena views here
+  /// instead of copies in the outcome.
+  PlanExecutor::RunView* view = nullptr;
+};
 
-  // Stream length (first nonzero wins, mismatches throw) — the
-  // interpreter's exact acceptance rules, including unknown names.
-  std::size_t length = 0;
-  for (const auto& [name, stream] : inputs) {
-    if (length == 0) length = stream.size();
-    if (stream.size() != length) {
+/// One job's acceptance rules — the interpreter's, in its order — and
+/// its closed-form op totals: fills column `j` of the segment lengths
+/// and the job's counters, returns its input length, or throws the
+/// exception a lone run of the job throws. A carried MAC fill completes
+/// its window early, so a chunk emits every fold the carry plus this
+/// chunk's samples complete.
+std::size_t size_job(const ExecPlan& plan, const ResolvedJob& job,
+                     std::size_t j, std::size_t njobs,
+                     const StreamCarry* carry, std::size_t* lens,
+                     RunResult& run) {
+  std::size_t length = 0;  // first nonzero wins, mismatches throw
+  for (const ResolvedStream& entry : job) {
+    if (length == 0) length = entry.stream.size;
+    if (entry.stream.size != length) {
       throw std::invalid_argument("PlanExecutor: input stream lengths differ");
     }
   }
-  for (const auto& [name, stream] : inputs) {
-    if (!plan.input_buffer_by_name.count(name)) {
-      throw std::invalid_argument("PlanExecutor: unknown input stream '" +
-                                  name + "'");
+  const auto len_of = [&](std::int32_t buffer) -> std::size_t& {
+    return lens[static_cast<std::size_t>(buffer) * njobs + j];
+  };
+  for (const ResolvedStream& entry : job) {
+    if (entry.buffer < 0 || entry.buffer >= plan.num_buffers) {
+      throw std::invalid_argument(
+          "PlanExecutor: resolved stream buffer index out of range");
     }
+    const BatchStream& s = entry.stream;
+    if (s.size > 0 && !s.bits && !s.doubles && !s.values) {
+      throw std::invalid_argument("PlanExecutor: input stream has no data");
+    }
+    std::size_t& slot = len_of(entry.buffer);
+    if (slot != kAbsent) {
+      throw std::invalid_argument("PlanExecutor: duplicate resolved input stream");
+    }
+    slot = s.size;
   }
 
-  ExecArena& arena = ExecArena::this_thread();
-  const std::size_t buffers = static_cast<std::size_t>(plan.num_buffers);
-  // Two passes over the shape: first compute every buffer's length (and
-  // the closed-form op totals), then reserve the word pool in one go so
-  // the bump slices stay stable.
-  arena.begin_job(buffers, static_cast<std::size_t>(plan.num_mac_ops));
-  std::vector<std::size_t>& lens = arena.lengths();
-  for (const auto& [name, stream] : inputs) {
-    lens[static_cast<std::size_t>(plan.input_buffer_by_name.at(name))] =
-        stream.size();
-  }
-
+  std::uint64_t fp_ops = 0, mac_ops = 0;
   for (const ExecPlan::Op& op : plan.tape) {
-    const std::size_t la = lens[static_cast<std::size_t>(op.a)];
+    const std::size_t la = len_of(op.a);
     if (la == kAbsent) {
       throw std::runtime_error(common::strprintf(
           "PlanExecutor: operand stream for node %d missing (src %d)", op.node,
@@ -382,17 +401,17 @@ RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs,
     }
     std::size_t lb = 0;
     if (op.b >= 0) {
-      lb = lens[static_cast<std::size_t>(op.b)];
+      lb = len_of(op.b);
       if (lb == kAbsent) {
         throw std::runtime_error(common::strprintf(
             "PlanExecutor: operand stream for node %d missing (src %d)",
             op.node, op.src_b));
       }
     }
+    std::size_t ld = la;
     switch (op.code) {
       case ExecPlan::OpCode::kMulCoeff:
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        result.fp_ops += la;
+        fp_ops += la;
         break;
       case ExecPlan::OpCode::kMulStream:
         // The interpreter streams args[0]'s length and indexes into
@@ -402,17 +421,14 @@ RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs,
           throw std::runtime_error(
               "PlanExecutor: mul stream operands shorter than the first");
         }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        result.fp_ops += la;
+        fp_ops += la;
         break;
       case ExecPlan::OpCode::kAdd:
       case ExecPlan::OpCode::kSub:
         if (la != lb) {
-          throw std::runtime_error(
-              "PlanExecutor: add/sub needs two equal streams");
+          throw std::runtime_error("PlanExecutor: add/sub needs two equal streams");
         }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        result.fp_ops += la;
+        fp_ops += la;
         break;
       case ExecPlan::OpCode::kAxpy:
       case ExecPlan::OpCode::kXpay:
@@ -420,534 +436,397 @@ RunResult execute_plan(const ExecPlan& plan, const StreamMap& inputs,
         // materializes has operand b's (kAxpy) / operand a's (kXpay)
         // length, and the add still demands equal streams.
         if (la != lb) {
-          throw std::runtime_error(
-              "PlanExecutor: add/sub needs two equal streams");
+          throw std::runtime_error("PlanExecutor: add/sub needs two equal streams");
         }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        result.fp_ops += 2 * la;
+        fp_ops += 2 * la;
         break;
-      case ExecPlan::OpCode::kMac:
-        lens[static_cast<std::size_t>(op.dst)] = op.count ? la / op.count : 0;
-        result.fp_ops += 2 * la;
-        result.mac_ops += la;
+      case ExecPlan::OpCode::kMac: {
+        const std::size_t fill =
+            carry ? carry->mac[static_cast<std::size_t>(op.mac_slot)].filled : 0;
+        ld = op.count ? (fill + la) / op.count : 0;
+        fp_ops += 2 * la;
+        mac_ops += la;
         break;
+      }
+    }
+    len_of(op.dst) = ld;
+  }
+  for (const ExecPlan::OutputSlot& slot : plan.outputs) {
+    if (len_of(slot.buffer) == kAbsent) {
+      throw std::runtime_error("PlanExecutor: output stream missing");
     }
   }
 
+  // Session counters are cumulative, and cycles stay closed-form over
+  // the whole stream: at initiation interval 1 a session fills its
+  // pipeline once, not once per chunk.
+  std::uint64_t samples = length;
+  if (carry) {
+    samples += carry->total_samples;
+    fp_ops += carry->fp_ops;
+    mac_ops += carry->mac_ops;
+  }
+  run.pipeline_depth = plan.pipeline_depth;
+  run.cycles = static_cast<std::uint64_t>(plan.pipeline_depth) +
+               (samples > 0 ? samples - 1 : 0);
+  run.fp_ops = fp_ops;
+  run.mac_ops = mac_ops;
+  return length;
+}
+
+/// dst = op(a, b) over `n` aligned elements.
+void apply_elementwise(const softfloat::FpFormat& format, const ExecPlan::Op& op,
+                       const std::uint64_t* pa, const std::uint64_t* pb,
+                       std::uint64_t* pd, std::size_t n) {
+  switch (op.code) {
+    case ExecPlan::OpCode::kMulCoeff:
+      softfloat::fp_mul_coeff_n(format, pa, op.coeff_bits, pd, n);
+      break;
+    case ExecPlan::OpCode::kMulStream:
+      softfloat::fp_mul_n(format, pa, pb, pd, n);
+      break;
+    case ExecPlan::OpCode::kAdd:
+      softfloat::fp_add_n(format, pa, pb, pd, n);
+      break;
+    case ExecPlan::OpCode::kSub:
+      softfloat::fp_add_xor_n(format, pa, pb, op.xor_mask, pd, n);
+      break;
+    case ExecPlan::OpCode::kAxpy:
+      softfloat::fp_axpy_n(format, pa, pb, op.coeff_bits, op.xor_mask, pd, n);
+      break;
+    case ExecPlan::OpCode::kXpay:
+      softfloat::fp_xpay_n(format, pa, op.coeff_bits, pb, op.xor_mask, pd, n);
+      break;
+    case ExecPlan::OpCode::kMac:
+      break;  // never elementwise
+  }
+}
+
+/// The tape sweep over the stripes the core laid out. Every buffer's
+/// written words are a prefix of its stripe, and a job's segment only
+/// becomes readable once every earlier job's segment is complete, so
+/// one `produced` cursor per stripe is the whole progress state.
+struct Sweep {
+  softfloat::FpFormat format;
+  std::size_t njobs;
+  std::uint64_t* words;
+  const std::vector<std::size_t>& lens;
+  const std::vector<std::size_t>& offsets;
+  std::vector<ExecArena::Stripe>& stripes;
+  std::vector<ExecArena::MacState>& mac;
+
+  std::uint64_t* at(std::int32_t buffer, std::size_t pos) const {
+    return words + stripes[static_cast<std::size_t>(buffer)].base + pos;
+  }
+
+  /// Advance one op as far as its operands allow.
+  void step(const ExecPlan::Op& op) {
+    const ExecArena::Stripe& sa = stripes[static_cast<std::size_t>(op.a)];
+    ExecArena::Stripe& sd = stripes[static_cast<std::size_t>(op.dst)];
+    if (op.code == ExecPlan::OpCode::kMac) return fold(op, sa, sd);
+    if (op.code == ExecPlan::OpCode::kMulStream &&
+        stripes[static_cast<std::size_t>(op.b)].size != sa.size) {
+      return mul_misaligned(op, sa, sd);
+    }
+    // Aligned: a, b and dst have equal lengths in every job, so one
+    // stripe position is one element of one job in all three.
+    std::size_t avail = sa.produced;
+    if (op.b >= 0) {
+      avail = std::min(avail, stripes[static_cast<std::size_t>(op.b)].produced);
+    }
+    if (avail <= sd.produced) return;
+    const std::size_t done = sd.produced;
+    apply_elementwise(format, op, at(op.a, done),
+                      op.b >= 0 ? at(op.b, done) : nullptr, at(op.dst, done),
+                      avail - done);
+    sd.produced = avail;
+  }
+
+  /// Decimating MAC: folds job by job, restarting the accumulator at
+  /// the start of every job segment but the stripe's first (which keeps
+  /// a carried or fresh state).
+  void fold(const ExecPlan::Op& op, const ExecArena::Stripe& sa,
+            ExecArena::Stripe& sd) {
+    ExecArena::MacState& state = mac[static_cast<std::size_t>(op.mac_slot)];
+    if (op.count == 0) {  // never emits; the accumulator is unobservable
+      state.consumed = sa.produced;
+      return;
+    }
+    const std::size_t a0 = static_cast<std::size_t>(op.a) * njobs;
+    for (std::size_t j = 0; j < njobs && state.consumed < sa.produced; ++j) {
+      const std::size_t len = lens[a0 + j];
+      if (len == kAbsent) continue;
+      const std::size_t begin = offsets[a0 + j];
+      const std::size_t end = begin + len;
+      if (state.consumed >= end) continue;
+      if (state.consumed == begin && begin > 0) {
+        state.acc = 0;
+        state.filled = 0;
+      }
+      const std::size_t n = std::min(end, sa.produced) - state.consumed;
+      sd.produced += softfloat::fp_mac_n(
+          format, at(op.a, state.consumed), op.coeff_bits, op.count,
+          at(op.dst, sd.produced), n, &state.acc, &state.filled);
+      state.consumed += n;
+    }
+  }
+
+  /// A two-stream mul whose second operand is longer than the first in
+  /// some job: a and dst still align, b is read per job segment.
+  void mul_misaligned(const ExecPlan::Op& op, const ExecArena::Stripe& sa,
+                      ExecArena::Stripe& sd) {
+    const ExecArena::Stripe& sb = stripes[static_cast<std::size_t>(op.b)];
+    const std::size_t a0 = static_cast<std::size_t>(op.a) * njobs;
+    const std::size_t b0 = static_cast<std::size_t>(op.b) * njobs;
+    for (std::size_t j = 0; j < njobs; ++j) {
+      const std::size_t len = lens[a0 + j];
+      if (len == kAbsent) continue;
+      const std::size_t begin = offsets[a0 + j];
+      const std::size_t end = begin + len;
+      if (sd.produced >= end) continue;
+      const std::size_t b_begin = offsets[b0 + j];
+      const std::size_t b_ready = sb.produced > b_begin ? sb.produced - b_begin : 0;
+      const std::size_t avail =
+          std::min({end, sa.produced, begin + std::min(b_ready, len)});
+      if (avail > sd.produced) {
+        const std::size_t done = sd.produced;
+        softfloat::fp_mul_n(format, at(op.a, done),
+                            at(op.b, b_begin + (done - begin)), at(op.dst, done),
+                            avail - done);
+        sd.produced = avail;
+      }
+      if (avail < end) return;  // later jobs wait for this one
+    }
+  }
+};
+
+/// The one execution core behind every PlanExecutor entry point: size
+/// and validate each job (capturing a rejection per job), lay each
+/// buffer out as a stripe of the accepted jobs' segments, encode every
+/// input once, sweep the tape once in kBlockElems blocks over the
+/// stripes, and materialize the outputs once in the requested mode.
+/// `carry` (one job only) seeds the MAC states and receives them back.
+void execute_core(const ExecPlan& plan, const ResolvedJob* jobs,
+                  std::size_t njobs, StreamCarry* carry, const CoreOutput& out) {
+  const std::size_t buffers = static_cast<std::size_t>(plan.num_buffers);
+  const std::size_t mac_ops = static_cast<std::size_t>(plan.num_mac_ops);
+  if (carry != nullptr) {
+    if (carry->mac.empty()) {
+      carry->mac.resize(mac_ops);
+    } else if (carry->mac.size() != mac_ops) {
+      throw std::invalid_argument(
+          "PlanExecutor: carry was opened against a different plan shape");
+    }
+  }
+
+  ExecArena& arena = ExecArena::this_thread();
+  arena.begin_job(buffers, njobs, mac_ops);
+  std::vector<std::size_t>& lens = arena.lengths();
+  std::size_t length = 0;
+  for (std::size_t j = 0; j < njobs; ++j) {
+    PlanExecutor::BatchOutcome& o = out.outcomes[j];
+    if (o.error) continue;
+    try {
+      length = size_job(plan, jobs[j], j, njobs, carry, lens.data(), o.run);
+    } catch (...) {
+      // A rejected job contributes nothing to the stripes; the rest of
+      // the batch is unaffected.
+      o.error = std::current_exception();
+      o.run = RunResult{};
+      for (std::size_t b = 0; b < buffers; ++b) lens[b * njobs + j] = kAbsent;
+    }
+  }
+
+  // Stripes: per buffer, the accepted jobs' segments back to back in job
+  // order, so aligned operand stripes match element for element.
+  std::vector<ExecArena::Stripe>& stripes = arena.stripes();
+  std::vector<std::size_t>& offsets = arena.offsets();
   std::size_t total_words = 0;
   for (std::size_t b = 0; b < buffers; ++b) {
-    if (lens[b] != kAbsent) total_words += lens[b];
+    for (std::size_t j = 0; j < njobs; ++j) {
+      const std::size_t i = b * njobs + j;
+      if (lens[i] == kAbsent) continue;
+      offsets[i] = stripes[b].size;
+      stripes[b].size += lens[i];
+    }
+    total_words += stripes[b].size;
   }
   arena.reserve_words(total_words);
-
-  std::vector<std::size_t>& offsets = arena.offsets();
-  for (std::size_t b = 0; b < buffers; ++b) {
-    if (lens[b] == kAbsent) continue;
-    offsets[b] = static_cast<std::size_t>(arena.take(lens[b]) - arena.words());
+  for (ExecArena::Stripe& stripe : stripes) {
+    stripe.base = static_cast<std::size_t>(arena.take(stripe.size) - arena.words());
   }
 
-  // Boundary pass: encode/copy every provided stream into its buffer.
+  // Boundary pass: every provided stream of every accepted job, bits
+  // copied, doubles batch-encoded, FpValues unwrapped into its segment.
+  const softfloat::FpFormat format = plan.format;
+  std::uint64_t* const words = arena.words();
   std::uint64_t span_start = telemetry::child_span_start();
-  for (const auto& [name, stream] : inputs) {
-    const std::size_t buf =
-        static_cast<std::size_t>(plan.input_buffer_by_name.at(name));
-    seed_one(stream, arena.words() + offsets[buf]);
+  for (std::size_t j = 0; j < njobs; ++j) {
+    if (out.outcomes[j].error) continue;
+    for (const ResolvedStream& entry : jobs[j]) {
+      const std::size_t b = static_cast<std::size_t>(entry.buffer);
+      std::uint64_t* dst = words + stripes[b].base + offsets[b * njobs + j];
+      const BatchStream& s = entry.stream;
+      if (s.bits) {
+        std::copy(s.bits, s.bits + s.size, dst);
+      } else if (s.doubles) {
+        softfloat::fp_from_double_n(format, s.doubles, dst, s.size);
+      } else {
+        for (std::size_t k = 0; k < s.size; ++k) dst[k] = s.values[k].bits();
+      }
+    }
   }
   telemetry::record_child_span("exec.encode", span_start);
   span_start = telemetry::child_span_start();
 
-  // Sweep the tape in cache-friendly blocks. Every buffer tracks how
-  // many elements it holds so far; MAC decimation makes rates differ,
-  // and the carried MacState lets an accumulation straddle blocks.
-  std::vector<std::size_t>& produced = arena.produced();
   std::vector<ExecArena::MacState>& mac = arena.mac_states();
-  std::uint64_t* const words = arena.words();
-  const softfloat::FpFormat format = plan.format;
-  std::size_t pos = 0;
-  while (pos < length) {
-    pos = std::min(length, pos + kBlockElems);
-    for (const auto& [name, buf] : plan.input_buffer_by_name) {
-      const std::size_t b = static_cast<std::size_t>(buf);
-      if (lens[b] != kAbsent) produced[b] = std::min(lens[b], pos);
-    }
-    for (const ExecPlan::Op& op : plan.tape) {
-      const std::size_t a = static_cast<std::size_t>(op.a);
-      const std::size_t dst = static_cast<std::size_t>(op.dst);
-      if (op.code == ExecPlan::OpCode::kMac) {
-        ExecArena::MacState& state = mac[static_cast<std::size_t>(op.mac_slot)];
-        const std::size_t n = produced[a] - state.consumed;
-        if (n == 0) continue;
-        if (op.count == 0) {  // never emits; the accumulator is unobservable
-          state.consumed = produced[a];
-          continue;
-        }
-        const std::size_t emitted = softfloat::fp_mac_n(
-            format, words + offsets[a] + state.consumed, op.coeff_bits,
-            op.count, words + offsets[dst] + produced[dst], n, &state.acc,
-            &state.filled);
-        state.consumed += n;
-        produced[dst] += emitted;
-        continue;
-      }
-      const std::size_t done = produced[dst];
-      std::size_t avail = produced[a];
-      if (op.b >= 0) {
-        avail = std::min(avail, produced[static_cast<std::size_t>(op.b)]);
-      }
-      const std::size_t n = avail - done;
-      if (n == 0) continue;
-      const std::uint64_t* pa = words + offsets[a] + done;
-      std::uint64_t* pd = words + offsets[dst] + done;
-      switch (op.code) {
-        case ExecPlan::OpCode::kMulCoeff:
-          softfloat::fp_mul_coeff_n(format, pa, op.coeff_bits, pd, n);
-          break;
-        case ExecPlan::OpCode::kMulStream:
-          softfloat::fp_mul_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              pd, n);
-          break;
-        case ExecPlan::OpCode::kAdd:
-          softfloat::fp_add_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              pd, n);
-          break;
-        case ExecPlan::OpCode::kSub:
-          softfloat::fp_add_xor_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kAxpy:
-          softfloat::fp_axpy_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.coeff_bits, op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kXpay:
-          softfloat::fp_xpay_n(
-              format, pa, op.coeff_bits,
-              words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kMac:
-          break;  // handled above
-      }
-      produced[dst] = avail;
+  if (carry != nullptr) {
+    // `consumed` restarts at zero: it indexes this chunk's stripe.
+    for (std::size_t s = 0; s < mac_ops; ++s) {
+      mac[s].acc = carry->mac[s].acc;
+      mac[s].filled = carry->mac[s].filled;
     }
   }
-
+  // Inputs are the plan's first buffers. Each block releases the next
+  // kBlockElems input positions and lets every op catch up to them.
+  const std::size_t num_inputs = plan.input_buffer_by_name.size();
+  std::size_t input_words = 0;
+  for (std::size_t b = 0; b < num_inputs; ++b) {
+    input_words = std::max(input_words, stripes[b].size);
+  }
+  Sweep sweep{format, njobs, words, lens, offsets, stripes, mac};
+  for (std::size_t pos = 0; pos < input_words;) {
+    pos = std::min(input_words, pos + kBlockElems);
+    for (std::size_t b = 0; b < num_inputs; ++b) {
+      stripes[b].produced = std::min(stripes[b].size, pos);
+    }
+    for (const ExecPlan::Op& op : plan.tape) sweep.step(op);
+  }
   telemetry::record_child_span("exec.tape", span_start);
   span_start = telemetry::child_span_start();
 
-  // Materialize the result streams (the only per-job allocations: the
-  // returned RunResult itself).
-  for (const ExecPlan::OutputSlot& slot : plan.outputs) {
-    const std::size_t buf = static_cast<std::size_t>(slot.buffer);
-    if (lens[buf] == kAbsent) {
-      throw std::runtime_error("PlanExecutor: output stream missing");
+  for (std::size_t j = 0; j < njobs; ++j) {
+    PlanExecutor::BatchOutcome& o = out.outcomes[j];
+    if (o.error) continue;
+    const bool raw = out.raw_flags ? (*out.raw_flags)[j] : out.raw;
+    for (const ExecPlan::OutputSlot& slot : plan.outputs) {
+      const std::size_t i = static_cast<std::size_t>(slot.buffer) * njobs + j;
+      const std::uint64_t* p =
+          words + stripes[static_cast<std::size_t>(slot.buffer)].base + offsets[i];
+      if (out.view) {
+        out.view->outputs.emplace_back(
+            slot.name, PlanExecutor::BitStreamView{p, lens[i]});
+      } else if (raw) {
+        o.run.bit_outputs.emplace(slot.name,
+                                  std::vector<std::uint64_t>(p, p + lens[i]));
+      } else {
+        std::vector<FpValue> stream(lens[i]);
+        for (std::size_t k = 0; k < lens[i]; ++k) {
+          stream[k] = FpValue(format, p[k]);
+        }
+        o.run.outputs.emplace(slot.name, std::move(stream));
+      }
     }
-    std::vector<FpValue> out(lens[buf]);
-    const std::uint64_t* p = words + offsets[buf];
-    FpValue* q = out.data();
-    for (std::size_t i = 0; i < lens[buf]; ++i) q[i] = FpValue(format, p[i]);
-    result.outputs.emplace(slot.name, std::move(out));
   }
-
   telemetry::record_child_span("exec.decode", span_start);
 
-  result.pipeline_depth = plan.pipeline_depth;
-  result.cycles = static_cast<std::uint64_t>(plan.pipeline_depth) +
-                  (length > 0 ? length - 1 : 0);
-  return result;
+  if (carry != nullptr && !out.outcomes[0].error) {
+    for (std::size_t s = 0; s < mac_ops; ++s) {
+      carry->mac[s].acc = mac[s].acc;
+      carry->mac[s].filled = mac[s].filled;
+      carry->mac[s].consumed += mac[s].consumed;
+    }
+    carry->total_samples += length;
+    carry->fp_ops = out.outcomes[0].run.fp_ops;
+    carry->mac_ops = out.outcomes[0].run.mac_ops;
+  }
+}
+
+BatchStream view_of(const std::vector<double>& stream) {
+  return {nullptr, stream.data(), stream.size()};
+}
+BatchStream view_of(const std::vector<FpValue>& stream) {
+  return {nullptr, nullptr, stream.size(), stream.data()};
+}
+const BatchStream& view_of(const BatchStream& stream) { return stream; }
+
+/// Resolve one name-keyed job into `job`, with the single-job acceptance
+/// order (length mismatch before unknown name).
+template <typename StreamMap>
+void resolve_named(const ExecPlan& plan, const StreamMap& inputs,
+                   ResolvedJob& job) {
+  std::size_t length = 0;
+  for (const auto& [name, stream] : inputs) {
+    const std::size_t size = view_of(stream).size;
+    if (length == 0) length = size;
+    if (size != length) {
+      throw std::invalid_argument("PlanExecutor: input stream lengths differ");
+    }
+  }
+  for (const auto& [name, stream] : inputs) {
+    const auto it = plan.input_buffer_by_name.find(name);
+    if (it == plan.input_buffer_by_name.end()) {
+      throw std::invalid_argument("PlanExecutor: unknown input stream '" +
+                                  name + "'");
+    }
+    job.push_back(ResolvedStream{it->second, view_of(stream)});
+  }
+}
+
+/// One name-keyed job through the core, rethrowing its rejection.
+template <typename StreamMap>
+RunResult run_one(const ExecPlan& plan, const StreamMap& inputs,
+                  StreamCarry* carry, bool raw,
+                  PlanExecutor::RunView* view = nullptr) {
+  ResolvedJob& job = ExecArena::this_thread().scratch_job(inputs.size());
+  resolve_named(plan, inputs, job);
+  PlanExecutor::BatchOutcome outcome;
+  CoreOutput out;
+  out.outcomes = &outcome;
+  out.raw = raw;
+  out.view = view;
+  execute_core(plan, &job, 1, carry, out);
+  if (outcome.error) std::rethrow_exception(outcome.error);
+  return std::move(outcome.run);
+}
+
+void check_raw_flags(const std::vector<bool>& raw_outputs, std::size_t njobs) {
+  if (!raw_outputs.empty() && raw_outputs.size() != njobs) {
+    throw std::invalid_argument(
+        "PlanExecutor: raw_outputs must be empty or one flag per job");
+  }
 }
 
 }  // namespace
 
 RunResult PlanExecutor::run(
     const std::map<std::string, std::vector<FpValue>>& inputs) const {
-  return execute_plan(*plan_, inputs,
-                      [](const std::vector<FpValue>& stream, std::uint64_t* dst) {
-                        for (std::size_t i = 0; i < stream.size(); ++i) {
-                          dst[i] = stream[i].bits();
-                        }
-                      });
+  return run_one(*plan_, inputs, nullptr, false);
 }
 
 RunResult PlanExecutor::run_doubles(
     const std::map<std::string, std::vector<double>>& inputs) const {
-  const softfloat::FpFormat format = plan_->format;
-  return execute_plan(*plan_, inputs,
-                      [format](const std::vector<double>& stream,
-                               std::uint64_t* dst) {
-                        softfloat::fp_from_double_n(format, stream.data(), dst,
-                                                    stream.size());
-                      });
+  return run_one(*plan_, inputs, nullptr, false);
 }
-
-// --- Fused batch execution ---------------------------------------------------
-
-namespace {
-
-/// Everything the output-materialization passes need after the fused
-/// sweep: per-job acceptance verdicts and closed-form op totals. The
-/// stripe geometry itself stays in the thread arena, indexed
-/// [buffer * njobs + job] for both lengths and absolute word offsets.
-struct BatchLayout {
-  std::size_t njobs = 0;
-  std::vector<std::size_t> job_length;    // input stream length per job
-  std::vector<std::exception_ptr> error;  // set = job excluded from sweep
-  std::vector<std::uint64_t> fp_ops;
-  std::vector<std::uint64_t> mac_ops;
-};
-
-/// Convert name-keyed batch jobs to resolved (buffer-indexed) form,
-/// capturing per-job failures instead of failing the batch — the
-/// single-job acceptance rules, in the single-job order (length
-/// mismatch before unknown name).
-void resolve_jobs(const ExecPlan& plan, const std::vector<BatchInputs>& jobs,
-                  std::vector<ResolvedJob>* resolved,
-                  std::vector<std::exception_ptr>* pre_error) {
-  resolved->resize(jobs.size());
-  pre_error->resize(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    try {
-      std::size_t length = 0;
-      for (const auto& [name, stream] : jobs[j]) {
-        if (length == 0) length = stream.size;
-        if (stream.size != length) {
-          throw std::invalid_argument(
-              "PlanExecutor: input stream lengths differ");
-        }
-      }
-      ResolvedJob& job = (*resolved)[j];
-      job.reserve(jobs[j].size());
-      for (const auto& [name, stream] : jobs[j]) {
-        const auto it = plan.input_buffer_by_name.find(name);
-        if (it == plan.input_buffer_by_name.end()) {
-          throw std::invalid_argument("PlanExecutor: unknown input stream '" +
-                                      name + "'");
-        }
-        job.push_back(ResolvedStream{it->second, stream});
-      }
-    } catch (...) {
-      (*pre_error)[j] = std::current_exception();
-      (*resolved)[j].clear();
-    }
-  }
-}
-
-/// Shared body of run_batch()/run_views(): validate every job with the
-/// single-job acceptance rules (capturing failures per job instead of
-/// failing the batch), stripe each buffer as the valid jobs' segments
-/// back to back, seed all inputs in one boundary pass, then sweep the
-/// tape once — each elementwise op as a single kernel call over its
-/// whole stripe. No block tiling here: fused batches exist for the
-/// many-small-jobs regime, where whole-stripe calls are exactly the
-/// amortization wanted (and bit-exactness is chunking-independent).
-/// `pre_error` (empty = none) marks jobs that already failed name
-/// resolution; they are excluded exactly like a validation failure.
-BatchLayout execute_batch_core(const ExecPlan& plan,
-                               const std::vector<ResolvedJob>& jobs,
-                               const std::vector<std::exception_ptr>& pre_error) {
-  const std::size_t njobs = jobs.size();
-  const std::size_t buffers = static_cast<std::size_t>(plan.num_buffers);
-  BatchLayout lay;
-  lay.njobs = njobs;
-  lay.job_length.assign(njobs, 0);
-  lay.error.resize(njobs);
-  lay.fp_ops.assign(njobs, 0);
-  lay.mac_ops.assign(njobs, 0);
-
-  ExecArena& arena = ExecArena::this_thread();
-  arena.begin_job(buffers * njobs,
-                  static_cast<std::size_t>(plan.num_mac_ops) * njobs);
-  std::vector<std::size_t>& lens = arena.lengths();
-
-  for (std::size_t j = 0; j < njobs; ++j) {
-    try {
-      if (!pre_error.empty() && pre_error[j]) {
-        std::rethrow_exception(pre_error[j]);
-      }
-      std::size_t length = 0;
-      for (const ResolvedStream& entry : jobs[j]) {
-        if (length == 0) length = entry.stream.size;
-        if (entry.stream.size != length) {
-          throw std::invalid_argument(
-              "PlanExecutor: input stream lengths differ");
-        }
-      }
-      lay.job_length[j] = length;
-      for (const ResolvedStream& entry : jobs[j]) {
-        if (entry.buffer < 0 || entry.buffer >= plan.num_buffers) {
-          throw std::invalid_argument(
-              "PlanExecutor: resolved stream buffer index out of range");
-        }
-        std::size_t& slot =
-            lens[static_cast<std::size_t>(entry.buffer) * njobs + j];
-        if (slot != kAbsent) {
-          throw std::invalid_argument(
-              "PlanExecutor: duplicate resolved input stream");
-        }
-        slot = entry.stream.size;
-      }
-      for (const ExecPlan::Op& op : plan.tape) {
-        const std::size_t la = lens[static_cast<std::size_t>(op.a) * njobs + j];
-        if (la == kAbsent) {
-          throw std::runtime_error(common::strprintf(
-              "PlanExecutor: operand stream for node %d missing (src %d)",
-              op.node, op.src_a));
-        }
-        std::size_t lb = 0;
-        if (op.b >= 0) {
-          lb = lens[static_cast<std::size_t>(op.b) * njobs + j];
-          if (lb == kAbsent) {
-            throw std::runtime_error(common::strprintf(
-                "PlanExecutor: operand stream for node %d missing (src %d)",
-                op.node, op.src_b));
-          }
-        }
-        const std::size_t dst = static_cast<std::size_t>(op.dst) * njobs + j;
-        switch (op.code) {
-          case ExecPlan::OpCode::kMulCoeff:
-            lens[dst] = la;
-            lay.fp_ops[j] += la;
-            break;
-          case ExecPlan::OpCode::kMulStream:
-            if (lb < la) {
-              throw std::runtime_error(
-                  "PlanExecutor: mul stream operands shorter than the first");
-            }
-            lens[dst] = la;
-            lay.fp_ops[j] += la;
-            break;
-          case ExecPlan::OpCode::kAdd:
-          case ExecPlan::OpCode::kSub:
-            if (la != lb) {
-              throw std::runtime_error(
-                  "PlanExecutor: add/sub needs two equal streams");
-            }
-            lens[dst] = la;
-            lay.fp_ops[j] += la;
-            break;
-          case ExecPlan::OpCode::kAxpy:
-          case ExecPlan::OpCode::kXpay:
-            if (la != lb) {
-              throw std::runtime_error(
-                  "PlanExecutor: add/sub needs two equal streams");
-            }
-            lens[dst] = la;
-            lay.fp_ops[j] += 2 * la;
-            break;
-          case ExecPlan::OpCode::kMac:
-            lens[dst] = op.count ? la / op.count : 0;
-            lay.fp_ops[j] += 2 * la;
-            lay.mac_ops[j] += la;
-            break;
-        }
-      }
-    } catch (...) {
-      // A rejected job contributes nothing to the stripes; the rest of
-      // the batch is unaffected.
-      lay.error[j] = std::current_exception();
-      for (std::size_t b = 0; b < buffers; ++b) lens[b * njobs + j] = kAbsent;
-    }
-  }
-
-  std::size_t total_words = 0;
-  for (std::size_t i = 0; i < buffers * njobs; ++i) {
-    if (lens[i] != kAbsent) total_words += lens[i];
-  }
-  arena.reserve_words(total_words);
-
-  // Segment offsets: per buffer, the valid jobs' segments back to back in
-  // job order — so a consumed buffer's stripe is contiguous and aligns
-  // element-for-element with its consumers' stripes.
-  std::vector<std::size_t>& offsets = arena.offsets();
-  for (std::size_t b = 0; b < buffers; ++b) {
-    for (std::size_t j = 0; j < njobs; ++j) {
-      const std::size_t i = b * njobs + j;
-      if (lens[i] == kAbsent) continue;
-      offsets[i] = static_cast<std::size_t>(arena.take(lens[i]) - arena.words());
-    }
-  }
-
-  // Boundary pass: every provided stream of every valid job, bits copied
-  // or doubles batch-encoded straight into its segment.
-  const softfloat::FpFormat format = plan.format;
-  std::uint64_t span_start = telemetry::child_span_start();
-  for (std::size_t j = 0; j < njobs; ++j) {
-    if (lay.error[j]) continue;
-    for (const ResolvedStream& entry : jobs[j]) {
-      const std::size_t i = static_cast<std::size_t>(entry.buffer) * njobs + j;
-      std::uint64_t* dst = arena.words() + offsets[i];
-      if (entry.stream.bits) {
-        std::copy(entry.stream.bits, entry.stream.bits + entry.stream.size,
-                  dst);
-      } else {
-        softfloat::fp_from_double_n(format, entry.stream.doubles, dst,
-                                    entry.stream.size);
-      }
-    }
-  }
-  telemetry::record_child_span("exec.encode", span_start);
-  span_start = telemetry::child_span_start();
-
-  // The fused sweep. Topological order means every operand stripe is
-  // complete before its consumer runs, so each op is one whole-stripe
-  // kernel call — except kMac (a serial per-job accumulator) and a
-  // kMulStream whose second operand is longer than the first in some job
-  // (its stripe then misaligns; that op falls back to per-job calls).
-  std::uint64_t* const words = arena.words();
-  std::vector<ExecArena::MacState>& mac = arena.mac_states();
-  std::size_t first_valid = njobs;
-  for (std::size_t j = 0; j < njobs; ++j) {
-    if (!lay.error[j]) {
-      first_valid = j;
-      break;
-    }
-  }
-  if (first_valid < njobs) {
-    for (const ExecPlan::Op& op : plan.tape) {
-      const std::size_t a0 = static_cast<std::size_t>(op.a) * njobs;
-      const std::size_t d0 = static_cast<std::size_t>(op.dst) * njobs;
-      if (op.code == ExecPlan::OpCode::kMac) {
-        for (std::size_t j = 0; j < njobs; ++j) {
-          if (lay.error[j]) continue;
-          const std::size_t n = lens[a0 + j];
-          if (n == 0 || op.count == 0) continue;
-          ExecArena::MacState& state =
-              mac[static_cast<std::size_t>(op.mac_slot) * njobs + j];
-          softfloat::fp_mac_n(format, words + offsets[a0 + j], op.coeff_bits,
-                              op.count, words + offsets[d0 + j], n, &state.acc,
-                              &state.filled);
-          state.consumed = n;
-        }
-        continue;
-      }
-      const std::size_t b0 =
-          op.b >= 0 ? static_cast<std::size_t>(op.b) * njobs : 0;
-      bool whole = true;
-      if (op.code == ExecPlan::OpCode::kMulStream) {
-        for (std::size_t j = 0; j < njobs && whole; ++j) {
-          if (!lay.error[j] && lens[a0 + j] != lens[b0 + j]) whole = false;
-        }
-      }
-      if (!whole) {
-        for (std::size_t j = 0; j < njobs; ++j) {
-          if (lay.error[j] || lens[a0 + j] == 0) continue;
-          softfloat::fp_mul_n(format, words + offsets[a0 + j],
-                              words + offsets[b0 + j], words + offsets[d0 + j],
-                              lens[a0 + j]);
-        }
-        continue;
-      }
-      std::size_t n_total = 0;
-      for (std::size_t j = 0; j < njobs; ++j) {
-        if (!lay.error[j]) n_total += lens[d0 + j];
-      }
-      if (n_total == 0) continue;
-      const std::uint64_t* pa = words + offsets[a0 + first_valid];
-      std::uint64_t* pd = words + offsets[d0 + first_valid];
-      const std::uint64_t* pb =
-          op.b >= 0 ? words + offsets[b0 + first_valid] : nullptr;
-      switch (op.code) {
-        case ExecPlan::OpCode::kMulCoeff:
-          softfloat::fp_mul_coeff_n(format, pa, op.coeff_bits, pd, n_total);
-          break;
-        case ExecPlan::OpCode::kMulStream:
-          softfloat::fp_mul_n(format, pa, pb, pd, n_total);
-          break;
-        case ExecPlan::OpCode::kAdd:
-          softfloat::fp_add_n(format, pa, pb, pd, n_total);
-          break;
-        case ExecPlan::OpCode::kSub:
-          softfloat::fp_add_xor_n(format, pa, pb, op.xor_mask, pd, n_total);
-          break;
-        case ExecPlan::OpCode::kAxpy:
-          softfloat::fp_axpy_n(format, pa, pb, op.coeff_bits, op.xor_mask, pd,
-                               n_total);
-          break;
-        case ExecPlan::OpCode::kXpay:
-          softfloat::fp_xpay_n(format, pa, op.coeff_bits, pb, op.xor_mask, pd,
-                               n_total);
-          break;
-        case ExecPlan::OpCode::kMac:
-          break;  // handled above
-      }
-    }
-  }
-  telemetry::record_child_span("exec.tape", span_start);
-  return lay;
-}
-
-/// Materialize per-job RunResults (or bit_outputs in raw mode) from the
-/// stripes the core left in the calling thread's arena.
-std::vector<PlanExecutor::BatchOutcome> decode_batch(
-    const ExecPlan& plan, const BatchLayout& lay,
-    const std::vector<bool>& raw_outputs) {
-  const std::size_t njobs = lay.njobs;
-  ExecArena& arena = ExecArena::this_thread();
-  const std::vector<std::size_t>& lens = arena.lengths();
-  const std::vector<std::size_t>& offsets = arena.offsets();
-  const std::uint64_t* const words = arena.words();
-  const softfloat::FpFormat format = plan.format;
-
-  const std::uint64_t span_start = telemetry::child_span_start();
-  std::vector<PlanExecutor::BatchOutcome> out(njobs);
-  for (std::size_t j = 0; j < njobs; ++j) {
-    PlanExecutor::BatchOutcome& o = out[j];
-    if (lay.error[j]) {
-      o.error = lay.error[j];
-      continue;
-    }
-    const bool raw = !raw_outputs.empty() && raw_outputs[j];
-    try {
-      for (const ExecPlan::OutputSlot& slot : plan.outputs) {
-        const std::size_t i = static_cast<std::size_t>(slot.buffer) * njobs + j;
-        if (lens[i] == kAbsent) {
-          throw std::runtime_error("PlanExecutor: output stream missing");
-        }
-        const std::uint64_t* p = words + offsets[i];
-        if (raw) {
-          o.run.bit_outputs.emplace(slot.name,
-                                    std::vector<std::uint64_t>(p, p + lens[i]));
-        } else {
-          std::vector<FpValue> stream(lens[i]);
-          for (std::size_t k = 0; k < lens[i]; ++k) {
-            stream[k] = FpValue(format, p[k]);
-          }
-          o.run.outputs.emplace(slot.name, std::move(stream));
-        }
-      }
-    } catch (...) {
-      o.error = std::current_exception();
-      o.run = RunResult{};
-      continue;
-    }
-    o.run.pipeline_depth = plan.pipeline_depth;
-    o.run.cycles = static_cast<std::uint64_t>(plan.pipeline_depth) +
-                   (lay.job_length[j] > 0 ? lay.job_length[j] - 1 : 0);
-    o.run.fp_ops = lay.fp_ops[j];
-    o.run.mac_ops = lay.mac_ops[j];
-  }
-  telemetry::record_child_span("exec.decode", span_start);
-  return out;
-}
-
-}  // namespace
 
 std::vector<PlanExecutor::BatchOutcome> PlanExecutor::run_batch(
     const std::vector<BatchInputs>& jobs,
     const std::vector<bool>& raw_outputs) const {
-  const ExecPlan& plan = *plan_;
-  if (!raw_outputs.empty() && raw_outputs.size() != jobs.size()) {
-    throw std::invalid_argument(
-        "PlanExecutor: raw_outputs must be empty or one flag per job");
+  check_raw_flags(raw_outputs, jobs.size());
+  std::vector<BatchOutcome> outcomes(jobs.size());
+  std::vector<ResolvedJob> resolved(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    try {
+      resolve_named(*plan_, jobs[j], resolved[j]);
+    } catch (...) {
+      outcomes[j].error = std::current_exception();
+    }
   }
-  std::vector<ResolvedJob> resolved;
-  std::vector<std::exception_ptr> pre_error;
-  resolve_jobs(plan, jobs, &resolved, &pre_error);
-  const BatchLayout lay = execute_batch_core(plan, resolved, pre_error);
-  return decode_batch(plan, lay, raw_outputs);
+  CoreOutput out;
+  out.outcomes = outcomes.data();
+  out.raw_flags = raw_outputs.empty() ? nullptr : &raw_outputs;
+  execute_core(*plan_, resolved.data(), jobs.size(), nullptr, out);
+  return outcomes;
 }
 
 std::int32_t PlanExecutor::resolve_input(const std::string& name) const {
@@ -962,292 +841,31 @@ std::int32_t PlanExecutor::resolve_input(const std::string& name) const {
 std::vector<PlanExecutor::BatchOutcome> PlanExecutor::run_batch_resolved(
     const std::vector<ResolvedJob>& jobs,
     const std::vector<bool>& raw_outputs) const {
-  const ExecPlan& plan = *plan_;
-  if (!raw_outputs.empty() && raw_outputs.size() != jobs.size()) {
-    throw std::invalid_argument(
-        "PlanExecutor: raw_outputs must be empty or one flag per job");
-  }
-  const BatchLayout lay = execute_batch_core(plan, jobs, {});
-  return decode_batch(plan, lay, raw_outputs);
+  check_raw_flags(raw_outputs, jobs.size());
+  std::vector<BatchOutcome> outcomes(jobs.size());
+  CoreOutput out;
+  out.outcomes = outcomes.data();
+  out.raw_flags = raw_outputs.empty() ? nullptr : &raw_outputs;
+  execute_core(*plan_, jobs.data(), jobs.size(), nullptr, out);
+  return outcomes;
 }
 
 RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
                                   bool raw_output) const {
-  const ExecPlan& plan = *plan_;
   if (carry == nullptr) {
     throw std::invalid_argument("PlanExecutor: run_chunk needs a carry");
   }
-  const std::size_t mac_ops = static_cast<std::size_t>(plan.num_mac_ops);
-  if (carry->mac.empty()) {
-    carry->mac.resize(mac_ops);
-  } else if (carry->mac.size() != mac_ops) {
-    throw std::invalid_argument(
-        "PlanExecutor: carry was opened against a different plan shape");
-  }
-
-  // The single-job acceptance rules, in the single-job order.
-  std::size_t length = 0;
-  for (const auto& [name, stream] : chunk) {
-    if (length == 0) length = stream.size;
-    if (stream.size != length) {
-      throw std::invalid_argument("PlanExecutor: input stream lengths differ");
-    }
-  }
-  for (const auto& [name, stream] : chunk) {
-    if (!plan.input_buffer_by_name.count(name)) {
-      throw std::invalid_argument("PlanExecutor: unknown input stream '" +
-                                  name + "'");
-    }
-  }
-
-  ExecArena& arena = ExecArena::this_thread();
-  const std::size_t buffers = static_cast<std::size_t>(plan.num_buffers);
-  arena.begin_job(buffers, mac_ops);
-  // Restore the carried accumulators. `consumed` restarts at zero: it
-  // indexes into this chunk's operand buffer, not the whole stream.
-  std::vector<ExecArena::MacState>& mac = arena.mac_states();
-  for (std::size_t s = 0; s < mac_ops; ++s) {
-    mac[s].acc = carry->mac[s].acc;
-    mac[s].filled = carry->mac[s].filled;
-  }
-
-  RunResult result;
-  std::vector<std::size_t>& lens = arena.lengths();
-  for (const auto& [name, stream] : chunk) {
-    lens[static_cast<std::size_t>(plan.input_buffer_by_name.at(name))] =
-        stream.size;
-  }
-  std::uint64_t chunk_fp_ops = 0, chunk_mac_ops = 0;
-  for (const ExecPlan::Op& op : plan.tape) {
-    const std::size_t la = lens[static_cast<std::size_t>(op.a)];
-    if (la == kAbsent) {
-      throw std::runtime_error(common::strprintf(
-          "PlanExecutor: operand stream for node %d missing (src %d)", op.node,
-          op.src_a));
-    }
-    std::size_t lb = 0;
-    if (op.b >= 0) {
-      lb = lens[static_cast<std::size_t>(op.b)];
-      if (lb == kAbsent) {
-        throw std::runtime_error(common::strprintf(
-            "PlanExecutor: operand stream for node %d missing (src %d)",
-            op.node, op.src_b));
-      }
-    }
-    switch (op.code) {
-      case ExecPlan::OpCode::kMulCoeff:
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        chunk_fp_ops += la;
-        break;
-      case ExecPlan::OpCode::kMulStream:
-        if (lb < la) {
-          throw std::runtime_error(
-              "PlanExecutor: mul stream operands shorter than the first");
-        }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        chunk_fp_ops += la;
-        break;
-      case ExecPlan::OpCode::kAdd:
-      case ExecPlan::OpCode::kSub:
-        if (la != lb) {
-          throw std::runtime_error(
-              "PlanExecutor: add/sub needs two equal streams");
-        }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        chunk_fp_ops += la;
-        break;
-      case ExecPlan::OpCode::kAxpy:
-      case ExecPlan::OpCode::kXpay:
-        if (la != lb) {
-          throw std::runtime_error(
-              "PlanExecutor: add/sub needs two equal streams");
-        }
-        lens[static_cast<std::size_t>(op.dst)] = la;
-        chunk_fp_ops += 2 * la;
-        break;
-      case ExecPlan::OpCode::kMac:
-        // This chunk emits every fold the carried fill level plus this
-        // chunk's samples complete — a chunk boundary mid-accumulation
-        // emits nothing here and the next chunk emits early.
-        lens[static_cast<std::size_t>(op.dst)] =
-            op.count
-                ? (carry->mac[static_cast<std::size_t>(op.mac_slot)].filled +
-                   la) / op.count
-                : 0;
-        chunk_fp_ops += 2 * la;
-        chunk_mac_ops += la;
-        break;
-    }
-  }
-
-  std::size_t total_words = 0;
-  for (std::size_t b = 0; b < buffers; ++b) {
-    if (lens[b] != kAbsent) total_words += lens[b];
-  }
-  arena.reserve_words(total_words);
-
-  std::vector<std::size_t>& offsets = arena.offsets();
-  for (std::size_t b = 0; b < buffers; ++b) {
-    if (lens[b] == kAbsent) continue;
-    offsets[b] = static_cast<std::size_t>(arena.take(lens[b]) - arena.words());
-  }
-
-  const softfloat::FpFormat format = plan.format;
-  std::uint64_t span_start = telemetry::child_span_start();
-  for (const auto& [name, stream] : chunk) {
-    const std::size_t buf =
-        static_cast<std::size_t>(plan.input_buffer_by_name.at(name));
-    std::uint64_t* dst = arena.words() + offsets[buf];
-    if (stream.bits) {
-      std::copy(stream.bits, stream.bits + stream.size, dst);
-    } else {
-      softfloat::fp_from_double_n(format, stream.doubles, dst, stream.size);
-    }
-  }
-  telemetry::record_child_span("exec.encode", span_start);
-  span_start = telemetry::child_span_start();
-
-  // The execute_plan block sweep, verbatim — the MacStates it carries
-  // across blocks are the same ones seeded from the API carry above.
-  std::vector<std::size_t>& produced = arena.produced();
-  std::uint64_t* const words = arena.words();
-  std::size_t pos = 0;
-  while (pos < length) {
-    pos = std::min(length, pos + kBlockElems);
-    for (const auto& [name, buf] : plan.input_buffer_by_name) {
-      const std::size_t b = static_cast<std::size_t>(buf);
-      if (lens[b] != kAbsent) produced[b] = std::min(lens[b], pos);
-    }
-    for (const ExecPlan::Op& op : plan.tape) {
-      const std::size_t a = static_cast<std::size_t>(op.a);
-      const std::size_t dst = static_cast<std::size_t>(op.dst);
-      if (op.code == ExecPlan::OpCode::kMac) {
-        ExecArena::MacState& state = mac[static_cast<std::size_t>(op.mac_slot)];
-        const std::size_t n = produced[a] - state.consumed;
-        if (n == 0) continue;
-        if (op.count == 0) {
-          state.consumed = produced[a];
-          continue;
-        }
-        const std::size_t emitted = softfloat::fp_mac_n(
-            format, words + offsets[a] + state.consumed, op.coeff_bits,
-            op.count, words + offsets[dst] + produced[dst], n, &state.acc,
-            &state.filled);
-        state.consumed += n;
-        produced[dst] += emitted;
-        continue;
-      }
-      const std::size_t done = produced[dst];
-      std::size_t avail = produced[a];
-      if (op.b >= 0) {
-        avail = std::min(avail, produced[static_cast<std::size_t>(op.b)]);
-      }
-      const std::size_t n = avail - done;
-      if (n == 0) continue;
-      const std::uint64_t* pa = words + offsets[a] + done;
-      std::uint64_t* pd = words + offsets[dst] + done;
-      switch (op.code) {
-        case ExecPlan::OpCode::kMulCoeff:
-          softfloat::fp_mul_coeff_n(format, pa, op.coeff_bits, pd, n);
-          break;
-        case ExecPlan::OpCode::kMulStream:
-          softfloat::fp_mul_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              pd, n);
-          break;
-        case ExecPlan::OpCode::kAdd:
-          softfloat::fp_add_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              pd, n);
-          break;
-        case ExecPlan::OpCode::kSub:
-          softfloat::fp_add_xor_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kAxpy:
-          softfloat::fp_axpy_n(
-              format, pa, words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.coeff_bits, op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kXpay:
-          softfloat::fp_xpay_n(
-              format, pa, op.coeff_bits,
-              words + offsets[static_cast<std::size_t>(op.b)] + done,
-              op.xor_mask, pd, n);
-          break;
-        case ExecPlan::OpCode::kMac:
-          break;  // handled above
-      }
-      produced[dst] = avail;
-    }
-  }
-  telemetry::record_child_span("exec.tape", span_start);
-  span_start = telemetry::child_span_start();
-
-  for (const ExecPlan::OutputSlot& slot : plan.outputs) {
-    const std::size_t buf = static_cast<std::size_t>(slot.buffer);
-    if (lens[buf] == kAbsent) {
-      throw std::runtime_error("PlanExecutor: output stream missing");
-    }
-    const std::uint64_t* p = words + offsets[buf];
-    if (raw_output) {
-      result.bit_outputs.emplace(slot.name,
-                                 std::vector<std::uint64_t>(p, p + lens[buf]));
-    } else {
-      std::vector<FpValue> out(lens[buf]);
-      for (std::size_t i = 0; i < lens[buf]; ++i) out[i] = FpValue(format, p[i]);
-      result.outputs.emplace(slot.name, std::move(out));
-    }
-  }
-  telemetry::record_child_span("exec.decode", span_start);
-
-  // Write the accumulators back and fold this chunk into the cumulative
-  // totals. cycles stays closed-form over the whole stream: a session at
-  // initiation interval 1 fills its pipeline once, not once per chunk.
-  for (std::size_t s = 0; s < mac_ops; ++s) {
-    carry->mac[s].acc = mac[s].acc;
-    carry->mac[s].filled = mac[s].filled;
-    carry->mac[s].consumed += mac[s].consumed;
-  }
-  carry->total_samples += length;
-  carry->fp_ops += chunk_fp_ops;
-  carry->mac_ops += chunk_mac_ops;
-  result.pipeline_depth = plan.pipeline_depth;
-  result.cycles = static_cast<std::uint64_t>(plan.pipeline_depth) +
-                  (carry->total_samples > 0 ? carry->total_samples - 1 : 0);
-  result.fp_ops = carry->fp_ops;
-  result.mac_ops = carry->mac_ops;
-  return result;
+  return run_one(*plan_, chunk, carry, raw_output);
 }
 
 PlanExecutor::RunView PlanExecutor::run_views(const BatchInputs& inputs) const {
-  const ExecPlan& plan = *plan_;
-  std::vector<ResolvedJob> resolved;
-  std::vector<std::exception_ptr> pre_error;
-  resolve_jobs(plan, {inputs}, &resolved, &pre_error);
-  BatchLayout lay = execute_batch_core(plan, resolved, pre_error);
-  if (lay.error[0]) std::rethrow_exception(lay.error[0]);
-
-  ExecArena& arena = ExecArena::this_thread();
-  const std::vector<std::size_t>& lens = arena.lengths();
-  const std::vector<std::size_t>& offsets = arena.offsets();
-
   RunView view;
-  view.outputs.reserve(plan.outputs.size());
-  for (const ExecPlan::OutputSlot& slot : plan.outputs) {
-    const std::size_t i = static_cast<std::size_t>(slot.buffer);
-    if (lens[i] == kAbsent) {
-      throw std::runtime_error("PlanExecutor: output stream missing");
-    }
-    view.outputs.emplace_back(
-        slot.name, BitStreamView{arena.words() + offsets[i], lens[i]});
-  }
-  view.pipeline_depth = plan.pipeline_depth;
-  view.cycles = static_cast<std::uint64_t>(plan.pipeline_depth) +
-                (lay.job_length[0] > 0 ? lay.job_length[0] - 1 : 0);
-  view.fp_ops = lay.fp_ops[0];
-  view.mac_ops = lay.mac_ops[0];
+  view.outputs.reserve(plan_->outputs.size());
+  const RunResult run = run_one(*plan_, inputs, nullptr, true, &view);
+  view.cycles = run.cycles;
+  view.fp_ops = run.fp_ops;
+  view.mac_ops = run.mac_ops;
+  view.pipeline_depth = run.pipeline_depth;
   return view;
 }
 

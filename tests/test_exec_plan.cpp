@@ -31,6 +31,7 @@
 #include "vcgra/vcgra/dfg.hpp"
 #include "vcgra/vcgra/exec_plan.hpp"
 #include "vcgra/vcgra/simulator.hpp"
+#include "service_oracle.hpp"
 
 namespace ov = vcgra::overlay;
 namespace sf = vcgra::softfloat;
@@ -345,7 +346,6 @@ TEST(ExecPlanArena, ConcurrentJobsAcrossThePool) {
     std::uint64_t hash = 0xcbf29ce484222325ULL;
     for (auto& future : futures) {
       const vcgra::runtime::JobResult result = future.get();
-      EXPECT_TRUE(result.plan_executed);
       for (const auto& [name, stream] : result.run.outputs) {
         for (const FpValue& value : stream) {
           hash ^= value.bits();
@@ -387,51 +387,54 @@ TEST(ExecPlanService, PlansAreLoweredOncePerSpecialization) {
 }
 
 TEST(ExecPlanService, EnginesBitIdenticalThroughTheService) {
-  // The same job mix through a plan-executor service and a legacy
-  // interpreter service: identical outputs, cycles and op counts.
-  const auto run_mix = [](bool use_plan) {
-    vcgra::runtime::ServiceOptions options;
-    options.threads = 2;
-    options.use_plan_executor = use_plan;
-    vcgra::runtime::OverlayService service(options);
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (int j = 0; j < 12; ++j) {
-      vcgra::runtime::JobRequest request;
-      // Mixed shapes, non-canonical names included (boundary renames).
-      if (j % 3 == 0) {
-        request.kernel_text =
-            "input left; input right;\nparam gain = 1.125;\n"
-            "scaled = mul(right, gain);\nsum = sub(left, scaled);\n"
-            "output sum;\n";
-        request.inputs = double_streams({"left", "right"}, 100, 0.25 * j);
-      } else if (j % 3 == 1) {
-        request.kernel_text =
-            "input x;\nparam c = 0.9;\ny = mac(x, c, 4);\noutput y;\n";
-        request.inputs = double_streams({"x"}, 96, 0.25 * j);
-      } else {
-        request.kernel_text =
-            "input a; input b;\nt0 = mul(a, b);\nt1 = add(t0, a);\n"
-            "y = add(t1, b);\noutput y;\n";
-        request.inputs = double_streams({"a", "b"}, 80, 0.25 * j);
-      }
-      const vcgra::runtime::JobResult result = service.run(std::move(request));
-      EXPECT_EQ(result.plan_executed, use_plan);
-      hash ^= result.run.cycles;
-      hash *= 0x100000001b3ULL;
-      hash ^= result.run.fp_ops;
-      hash *= 0x100000001b3ULL;
-      hash ^= result.run.mac_ops;
-      hash *= 0x100000001b3ULL;
-      for (const auto& [name, stream] : result.run.outputs) {
-        for (const FpValue& value : stream) {
-          hash ^= value.bits();
-          hash *= 0x100000001b3ULL;
-        }
+  // The same job mix through the service (plan executor) and through
+  // the interpreter oracle on the artifact the service's cache builds:
+  // identical outputs, cycles and op counts.
+  const auto fold = [](std::uint64_t hash, const ov::RunResult& run) {
+    hash ^= run.cycles;
+    hash *= 0x100000001b3ULL;
+    hash ^= run.fp_ops;
+    hash *= 0x100000001b3ULL;
+    hash ^= run.mac_ops;
+    hash *= 0x100000001b3ULL;
+    for (const auto& [name, stream] : run.outputs) {
+      for (const FpValue& value : stream) {
+        hash ^= value.bits();
+        hash *= 0x100000001b3ULL;
       }
     }
     return hash;
   };
-  EXPECT_EQ(run_mix(true), run_mix(false));
+  vcgra::runtime::ServiceOptions options;
+  options.threads = 2;
+  vcgra::runtime::OverlayService service(options);
+  std::uint64_t plan_hash = 0xcbf29ce484222325ULL;
+  std::uint64_t oracle_hash = 0xcbf29ce484222325ULL;
+  for (int j = 0; j < 12; ++j) {
+    vcgra::runtime::JobRequest request;
+    // Mixed shapes, non-canonical names included (boundary renames).
+    if (j % 3 == 0) {
+      request.kernel_text =
+          "input left; input right;\nparam gain = 1.125;\n"
+          "scaled = mul(right, gain);\nsum = sub(left, scaled);\n"
+          "output sum;\n";
+      request.inputs = double_streams({"left", "right"}, 100, 0.25 * j);
+    } else if (j % 3 == 1) {
+      request.kernel_text =
+          "input x;\nparam c = 0.9;\ny = mac(x, c, 4);\noutput y;\n";
+      request.inputs = double_streams({"x"}, 96, 0.25 * j);
+    } else {
+      request.kernel_text =
+          "input a; input b;\nt0 = mul(a, b);\nt1 = add(t0, a);\n"
+          "y = add(t1, b);\noutput y;\n";
+      request.inputs = double_streams({"a", "b"}, 80, 0.25 * j);
+    }
+    oracle_hash = fold(oracle_hash,
+                       vcgra::testing::simulate_job(request.kernel_text,
+                                                    request.arch, request.inputs));
+    plan_hash = fold(plan_hash, service.run(std::move(request)).run);
+  }
+  EXPECT_EQ(plan_hash, oracle_hash);
 }
 
 // --- error behavior ----------------------------------------------------------
@@ -1084,6 +1087,136 @@ TEST(ExecPlanBatch, RunViewsMatchMaterializedOutputs) {
     ASSERT_EQ(it->second.size(), stream.size());
     for (std::size_t i = 0; i < stream.size(); ++i) {
       ASSERT_EQ(it->second[i], stream[i].bits()) << name << " sample " << i;
+    }
+  }
+}
+
+// --- the one execution core --------------------------------------------------
+
+// Every entry point runs on one striped core. A table of batches that
+// stress its layout — stripes crossing the block size inside a job,
+// decimating MAC windows straddling job boundaries, zero-length jobs, a
+// rejected job mid-batch, a two-stream mul whose second operand is
+// longer in some jobs only — and session chunk splits with a carry, in
+// three FP formats. Oracles: the interpreter per job, and the same job
+// run alone (a batch of one).
+TEST(ExecPlanCore, StripedBatchesMatchInterpreterAndSoloRuns) {
+  // Fused axpy, two decimating MACs of different rates, and a mul whose
+  // second operand (count 2) is longer than its first (count 3) in every
+  // job of length >= 2 except 3.
+  const std::string mixed =
+      "input x; input z;\nparam c = 0.75; param d = -1.25;\n"
+      "s = mul(x, d);\nw = add(s, z);\nt = mac(w, c, 3);\nu = mac(z, c, 2);\n"
+      "y = mul(t, u);\noutput w; output t; output y;\n";
+  // A 7-sample window: most job lengths leave a partial window behind.
+  const std::string window7 =
+      "input x; input z;\nparam c = 0.8125;\np = mul(x, z);\n"
+      "t = mac(p, c, 7);\noutput p; output t;\n";
+  constexpr long kRagged = -1;  // x and z of different lengths: rejected
+  struct Case {
+    const char* what;
+    const std::string& kernel;
+    std::vector<long> lengths;
+    // run_chunk split pattern, cycled; empty for `mixed`, whose mul pairs
+    // t[i] with u[i] of each chunk, so its chunked output differs from
+    // the one-shot by construction.
+    std::vector<std::size_t> chunks;
+  };
+  const Case cases[] = {
+      {"stripes cross the block size inside jobs", mixed,
+       {2500, 1100, 3, 2049}, {}},
+      {"MAC windows straddle job and block boundaries", window7,
+       {10, 13, 1, 2222, 6}, {1, 5, 1030, 7}},
+      {"zero-length jobs", window7, {0, 9, 0, 0, 14, 0}, {2, 3}},
+      {"rejected job mid-batch", mixed, {33, kRagged, 17}, {}},
+      {"second mul operand longer in one job only", mixed, {3, 4, 3, 1}, {}},
+  };
+  const FpFormat formats[] = {FpFormat{4, 7}, FpFormat::half_like(),
+                              FpFormat::paper()};
+  for (const Case& c : cases) {
+    for (const FpFormat& format : formats) {
+      SCOPED_TRACE(vcgra::common::strprintf("%s, fp(%d,%d)", c.what, format.we,
+                                            format.wf));
+      ov::OverlayArch arch;
+      arch.format = format;
+      const ov::Compiled compiled = ov::compile_kernel(c.kernel, arch);
+      const ov::Simulator interpreter(compiled);
+      const ov::PlanExecutor executor(
+          std::make_shared<const ov::ExecPlan>(ov::ExecPlan::lower(compiled)));
+
+      vcgra::common::Rng rng(0xc0feULL + static_cast<std::uint64_t>(format.wf));
+      const std::size_t njobs = c.lengths.size();
+      std::vector<std::map<std::string, std::vector<std::uint64_t>>> storage(
+          njobs);
+      std::vector<ov::BatchInputs> jobs(njobs);
+      std::vector<ov::RunResult> want(njobs);
+      for (std::size_t j = 0; j < njobs; ++j) {
+        const bool ragged = c.lengths[j] == kRagged;
+        std::map<std::string, std::vector<FpValue>> fp_inputs;
+        for (const char* name : {"x", "z"}) {
+          const std::size_t samples =
+              ragged ? (name[0] == 'x' ? 5 : 4)
+                     : static_cast<std::size_t>(c.lengths[j]);
+          std::vector<std::uint64_t>& bits = storage[j][name];
+          std::vector<FpValue>& values = fp_inputs[name];
+          for (std::size_t i = 0; i < samples; ++i) {
+            values.push_back(random_operand(format, rng));
+            bits.push_back(values.back().bits());
+          }
+          jobs[j][name] = ov::BatchStream{bits.data(), nullptr, bits.size()};
+        }
+        if (ragged) {
+          EXPECT_THROW(interpreter.run(fp_inputs), std::invalid_argument);
+        } else {
+          want[j] = interpreter.run(fp_inputs);
+        }
+      }
+
+      const auto batch = executor.run_batch(jobs);
+      ASSERT_EQ(batch.size(), njobs);
+      for (std::size_t j = 0; j < njobs; ++j) {
+        SCOPED_TRACE(vcgra::common::strprintf("job %zu of %zu (length %ld)", j,
+                                              njobs, c.lengths[j]));
+        const auto solo = executor.run_batch({jobs[j]});
+        if (c.lengths[j] == kRagged) {
+          ASSERT_TRUE(batch[j].error);
+          EXPECT_THROW(std::rethrow_exception(batch[j].error),
+                       std::invalid_argument);
+          ASSERT_TRUE(solo[0].error);
+          continue;
+        }
+        ASSERT_FALSE(batch[j].error);
+        ASSERT_FALSE(solo[0].error);
+        expect_identical(want[j], batch[j].run);
+        expect_identical(solo[0].run, batch[j].run);
+        if (c.chunks.empty()) continue;
+
+        // The same job as a session: chunks through run_chunk with a
+        // carry concatenate to the one-shot, with cumulative counters.
+        ov::StreamCarry carry;
+        ov::RunResult chunked;
+        const std::size_t total = storage[j].at("x").size();
+        std::size_t offset = 0;
+        for (std::size_t k = 0; offset < total || k == 0; ++k) {
+          const std::size_t size =
+              std::min(c.chunks[k % c.chunks.size()], total - offset);
+          ov::BatchInputs chunk;
+          for (const auto& [name, bits] : storage[j]) {
+            chunk[name] = ov::BatchStream{bits.data() + offset, nullptr, size};
+          }
+          ov::RunResult part = executor.run_chunk(chunk, &carry);
+          for (auto& [name, stream] : part.outputs) {
+            std::vector<FpValue>& all = chunked.outputs[name];
+            all.insert(all.end(), stream.begin(), stream.end());
+          }
+          chunked.cycles = part.cycles;
+          chunked.fp_ops = part.fp_ops;
+          chunked.mac_ops = part.mac_ops;
+          chunked.pipeline_depth = part.pipeline_depth;
+          offset += size;
+        }
+        expect_identical(want[j], chunked);
+      }
     }
   }
 }

@@ -34,6 +34,7 @@
 #include "vcgra/vision/pipeline.hpp"
 #include "vcgra/vision/pipeline_service.hpp"
 #include "vcgra/vision/synthetic.hpp"
+#include "service_oracle.hpp"
 
 namespace rt = vcgra::runtime;
 namespace ov = vcgra::overlay;
@@ -123,15 +124,18 @@ TEST(SessionChunkedFeed, BitIdenticalToOneShotInEveryFormat) {
     const auto& oracle = one_shot.run.bit_outputs.at("y");
     ASSERT_EQ(oracle.size(), 700u);
 
-    // Interpreter oracle: identical bits and counters for the one-shot.
-    rt::ServiceOptions interp_options = two_thread_options();
-    interp_options.use_plan_executor = false;
-    rt::OverlayService interp_service(interp_options);
-    const rt::JobResult interp = interp_service.run(job);
-    EXPECT_EQ(interp.run.bit_outputs.at("y"), oracle);
-    EXPECT_EQ(interp.run.cycles, one_shot.run.cycles);
-    EXPECT_EQ(interp.run.fp_ops, one_shot.run.fp_ops);
-    EXPECT_EQ(interp.run.mac_ops, one_shot.run.mac_ops);
+    // Interpreter oracle on the service's artifact: identical bits and
+    // counters for the one-shot.
+    const ov::RunResult interp =
+        vcgra::testing::simulate_job(kernel, arch, job.inputs);
+    std::vector<std::uint64_t> interp_bits;
+    for (const sf::FpValue& value : interp.outputs.at("y")) {
+      interp_bits.push_back(value.bits());
+    }
+    EXPECT_EQ(interp_bits, oracle);
+    EXPECT_EQ(interp.cycles, one_shot.run.cycles);
+    EXPECT_EQ(interp.fp_ops, one_shot.run.fp_ops);
+    EXPECT_EQ(interp.mac_ops, one_shot.run.mac_ops);
 
     rt::SessionRequest request;
     request.kernel_text = kernel;

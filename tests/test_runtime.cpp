@@ -21,6 +21,7 @@
 #include "vcgra/telemetry/metrics.hpp"
 #include "vcgra/vcgra/compiler.hpp"
 #include "vcgra/vcgra/simulator.hpp"
+#include "service_oracle.hpp"
 
 namespace rt = vcgra::runtime;
 namespace ov = vcgra::overlay;
@@ -1012,51 +1013,53 @@ TEST(OverlayService, FusedBatchSweepIsBitExactAndAccounted) {
 }
 
 // Raw-bits job I/O through the service: u64 encodings in, u64 encodings
-// out, bit-identical to the double boundary on both engines (the
-// interpreter converts with the scalar FpValue boundary, so it stays an
-// independent oracle for the plan path).
+// out, bit-identical to the double boundary — and both to the
+// interpreter oracle on the service's artifact, which converts with the
+// scalar FpValue boundary and so stays independent of the plan path.
 TEST(OverlayService, RawBitsJobBoundaryMatchesDoubleBoundary) {
-  for (const bool use_plan : {true, false}) {
-    SCOPED_TRACE(use_plan ? "plan" : "interpreter");
-    rt::ServiceOptions options;
-    options.threads = 1;
-    options.use_plan_executor = use_plan;
-    rt::OverlayService service(options);
+  rt::ServiceOptions options;
+  options.threads = 1;
+  rt::OverlayService service(options);
 
-    rt::JobRequest via_doubles;
-    via_doubles.kernel_text = dot2_kernel(0.125, -0.875);
-    via_doubles.inputs = ramp_inputs(64);
-    const rt::JobResult plain = service.run(std::move(via_doubles));
-    const std::vector<std::uint64_t> want = output_bits(plain.run);
-    ASSERT_EQ(want.size(), 64u);
+  rt::JobRequest via_doubles;
+  via_doubles.kernel_text = dot2_kernel(0.125, -0.875);
+  via_doubles.inputs = ramp_inputs(64);
+  const rt::JobResult plain = service.run(std::move(via_doubles));
+  const std::vector<std::uint64_t> want = output_bits(plain.run);
+  ASSERT_EQ(want.size(), 64u);
 
-    rt::JobRequest via_bits;
-    via_bits.kernel_text = dot2_kernel(0.125, -0.875);
-    via_bits.raw_output = true;
-    const ov::OverlayArch arch;  // the service default
-    for (const auto& [name, stream] : ramp_inputs(64)) {
-      std::vector<std::uint64_t>& bits = via_bits.input_bits[name];
-      bits.reserve(stream.size());
-      for (const double v : stream) {
-        bits.push_back(
-            vcgra::softfloat::FpValue::from_double(arch.format, v).bits());
-      }
+  const ov::OverlayArch arch;  // the service default
+  const ov::RunResult oracle = vcgra::testing::simulate_job(
+      dot2_kernel(0.125, -0.875), arch, ramp_inputs(64));
+  EXPECT_EQ(output_bits(oracle), want);
+  EXPECT_EQ(oracle.cycles, plain.run.cycles);
+  EXPECT_EQ(oracle.fp_ops, plain.run.fp_ops);
+
+  rt::JobRequest via_bits;
+  via_bits.kernel_text = dot2_kernel(0.125, -0.875);
+  via_bits.raw_output = true;
+  for (const auto& [name, stream] : ramp_inputs(64)) {
+    std::vector<std::uint64_t>& bits = via_bits.input_bits[name];
+    bits.reserve(stream.size());
+    for (const double v : stream) {
+      bits.push_back(
+          vcgra::softfloat::FpValue::from_double(arch.format, v).bits());
     }
-    const rt::JobResult raw = service.run(std::move(via_bits));
-    EXPECT_TRUE(raw.run.outputs.empty());
-    const auto it = raw.run.bit_outputs.find("y");
-    ASSERT_NE(it, raw.run.bit_outputs.end());
-    EXPECT_EQ(it->second, want);
-    EXPECT_EQ(raw.run.cycles, plain.run.cycles);
-    EXPECT_EQ(raw.run.fp_ops, plain.run.fp_ops);
-
-    // A stream supplied in both encodings at once must fail loudly.
-    rt::JobRequest both;
-    both.kernel_text = dot2_kernel(0.125, -0.875);
-    both.inputs = ramp_inputs(64);
-    both.input_bits["x0"] = std::vector<std::uint64_t>(64, 0);
-    EXPECT_THROW(service.run(std::move(both)), std::invalid_argument);
   }
+  const rt::JobResult raw = service.run(std::move(via_bits));
+  EXPECT_TRUE(raw.run.outputs.empty());
+  const auto it = raw.run.bit_outputs.find("y");
+  ASSERT_NE(it, raw.run.bit_outputs.end());
+  EXPECT_EQ(it->second, want);
+  EXPECT_EQ(raw.run.cycles, plain.run.cycles);
+  EXPECT_EQ(raw.run.fp_ops, plain.run.fp_ops);
+
+  // A stream supplied in both encodings at once must fail loudly.
+  rt::JobRequest both;
+  both.kernel_text = dot2_kernel(0.125, -0.875);
+  both.inputs = ramp_inputs(64);
+  both.input_bits["x0"] = std::vector<std::uint64_t>(64, 0);
+  EXPECT_THROW(service.run(std::move(both)), std::invalid_argument);
 }
 
 // --- error-path accounting ---------------------------------------------------
