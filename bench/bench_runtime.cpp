@@ -15,6 +15,10 @@
 //      fused batches, kernel graphs and the continuous monitor.
 //   M. Decimating MAC — whole accumulation windows run side by side, so
 //      a MAC element costs <= 2.5x a fused axpy element.
+//   N. Vessel frames — PipelineGraphRunner's shared raw-bit tap views run
+//      a frame >= 1.2x faster than feeding the same admitted bank graphs
+//      per-frame double tap maps, bit-exact, with no arena growth.
+//      (Letters K and L are reserved.)
 //
 // Exits non-zero if the cache speedup target or bit-exactness fails, so
 // CI can run it as a smoke check.
@@ -45,6 +49,7 @@
 #include "vcgra/telemetry/trace.hpp"
 #include "vcgra/vcgra/compiler.hpp"
 #include "vcgra/vcgra/simulator.hpp"
+#include "vcgra/vision/filters.hpp"
 #include "vcgra/vision/pipeline.hpp"
 #include "vcgra/vision/pipeline_service.hpp"
 #include "vcgra/vision/synthetic.hpp"
@@ -1436,6 +1441,158 @@ int main() {
                     "bit-exact (median of %d attempts: %.2fx)\n",
                     format.we, format.wf, kBound, kAttempts, ratio);
       }
+    }
+  }
+
+  // --- N: vessel frames — shared raw-bit tap views vs double tap maps ---------
+  {
+    std::printf("\n[N] Vessel frames: shared raw-bit tap views vs per-frame "
+                "double tap maps (128x128)\n");
+    // Both sides run the runner's own admitted bank graphs through graph
+    // sessions. The runner encodes each bank input once and feeds views
+    // of one clamped buffer per tap shift, read in place; the reference
+    // rebuilds every tap's shifted double stream per frame through
+    // Image::sample and feeds them through the double-map feed adapter.
+    // Ratio of per-attempt medians, median of 3 attempts. Stage images
+    // must be bit-exact, and the runner's frames after the first must
+    // not grow the executor arena.
+    constexpr int kAttempts = 3;
+    constexpr int kRunsPerAttempt = 5;
+    constexpr double kBound = 1.2;
+    vision::FundusParams fparams;
+    fparams.width = 128;
+    fparams.height = 128;
+    common::Rng rng(43);
+    const vision::FundusImage fundus = vision::generate_fundus(fparams, rng);
+    vision::PipelineParams params;
+    params.denoise_size = 3;
+    params.matched_size = 5;
+    params.orientations = 3;
+    params.texture_size = 5;
+    const overlay::OverlayArch arch;
+    runtime::ServiceOptions options;
+    options.threads = 1;
+    runtime::OverlayService service(options);
+    vision::PipelineGraphRunner runner(params, arch, service);
+
+    const auto tap_map_response = [&](const vision::PipelineGraphRunner::Bank& bank,
+                                      const vision::Image& input) {
+      std::map<std::string, std::map<std::string, std::vector<double>>> chunk;
+      const std::size_t pixels = input.data().size();
+      for (const vision::PipelineGraphRunner::TapFeed& tap : bank.taps) {
+        std::vector<double>& stream = chunk[tap.stage][tap.input];
+        stream.reserve(pixels);
+        for (int y = 0; y < input.height(); ++y) {
+          for (int x = 0; x < input.width(); ++x) {
+            stream.push_back(
+                static_cast<double>(input.sample(x + tap.dx, y + tap.dy)));
+          }
+        }
+      }
+      const runtime::GraphResult run =
+          service.open_graph_session(bank.graph)->feed(chunk);
+      std::vector<vision::Image> responses;
+      std::vector<double> decoded(pixels);
+      for (const std::string& final_stage : bank.finals) {
+        const std::vector<std::uint64_t>& bits =
+            run.bit_outputs.at(final_stage + ":y");
+        softfloat::fp_to_double_n(arch.format, bits.data(), decoded.data(),
+                                  pixels);
+        vision::Image response(input.width(), input.height());
+        for (std::size_t p = 0; p < pixels; ++p) {
+          response.data()[p] = static_cast<float>(decoded[p]);
+        }
+        responses.push_back(std::move(response));
+      }
+      return vision::pixelwise_max(responses);
+    };
+    const auto tap_map_frame = [&]() {
+      vision::PipelineResult result;
+      vision::StageImages& stages = result.stages;
+      stages.green = fundus.rgb.channel(1);
+      stages.equalized =
+          vision::equalize_histogram(stages.green, fundus.field_of_view);
+      vision::Mask valid;
+      stages.masked = vision::remove_optic_disc_and_border(
+          stages.equalized, fundus.field_of_view, &valid);
+      stages.denoised = tap_map_response(runner.bank(0), stages.masked);
+      stages.matched = tap_map_response(runner.bank(1), stages.denoised);
+      stages.textured = tap_map_response(runner.bank(2), stages.matched);
+      const float level = vision::quantile_level(stages.textured, valid,
+                                                 params.threshold_quantile);
+      stages.segmented = vision::threshold(stages.textured, level);
+      for (int y = 0; y < stages.segmented.height(); ++y) {
+        for (int x = 0; x < stages.segmented.width(); ++x) {
+          if (valid.at(x, y) < 0.5f) stages.segmented.at(x, y) = 0.0f;
+        }
+      }
+      return result;
+    };
+    const auto same_images = [](const vision::PipelineResult& a,
+                                const vision::PipelineResult& b) {
+      return a.stages.denoised.data() == b.stages.denoised.data() &&
+             a.stages.matched.data() == b.stages.matched.data() &&
+             a.stages.textured.data() == b.stages.textured.data() &&
+             a.stages.segmented.data() == b.stages.segmented.data();
+    };
+
+    telemetry::Counter& arena_grows =
+        telemetry::metrics().counter("exec.arena_grows");
+    // The first frame sizes the runner's buffers and the arena; the
+    // second runs before any reference frame could have grown it.
+    const vision::PipelineResult warm =
+        runner.run(fundus.rgb, fundus.field_of_view);
+    std::uint64_t grows_before = arena_grows.value();
+    bool bits_equal =
+        same_images(warm, runner.run(fundus.rgb, fundus.field_of_view));
+    std::uint64_t runner_grows = arena_grows.value() - grows_before;
+    bits_equal = bits_equal && same_images(warm, tap_map_frame());
+    std::vector<double> speedups;
+    for (int attempt = 0; attempt < kAttempts; ++attempt) {
+      std::vector<double> view_seconds, map_seconds;
+      for (int r = 0; r < kRunsPerAttempt; ++r) {
+        grows_before = arena_grows.value();
+        common::WallTimer view_timer;
+        const vision::PipelineResult views =
+            runner.run(fundus.rgb, fundus.field_of_view);
+        view_seconds.push_back(view_timer.seconds());
+        runner_grows += arena_grows.value() - grows_before;
+        common::WallTimer map_timer;
+        const vision::PipelineResult maps = tap_map_frame();
+        map_seconds.push_back(map_timer.seconds());
+        if (!same_images(views, maps) || !same_images(views, warm)) {
+          bits_equal = false;
+        }
+      }
+      const double view_median = runtime::percentile(view_seconds, 0.5);
+      const double map_median = runtime::percentile(map_seconds, 0.5);
+      speedups.push_back(view_median > 0 ? map_median / view_median : 0.0);
+      std::printf("  attempt %d: double tap maps %s  raw-bit tap views %s  "
+                  "speedup %.2fx\n",
+                  attempt + 1, common::human_seconds(map_median).c_str(),
+                  common::human_seconds(view_median).c_str(), speedups.back());
+    }
+    const double speedup = runtime::percentile(speedups, 0.5);
+    if (!bits_equal) {
+      std::printf("  FAIL: tap-view frames differ from double tap-map "
+                  "frames\n");
+      ok = false;
+    }
+    if (runner_grows != 0) {
+      std::printf("  FAIL: the executor arena grew %llu times during "
+                  "post-warm runner frames\n",
+                  static_cast<unsigned long long>(runner_grows));
+      ok = false;
+    }
+    if (speedup < kBound) {
+      std::printf("  FAIL: median tap-view speedup %.2fx below the %.1fx "
+                  "bound\n", speedup, kBound);
+      ok = false;
+    } else if (bits_equal && runner_grows == 0) {
+      std::printf("  PASS: shared raw-bit tap views run a vessel frame >= "
+                  "%.1fx faster than double tap maps, bit-exact, no arena "
+                  "growth (median of %d attempts: %.2fx)\n",
+                  kBound, kAttempts, speedup);
     }
   }
 

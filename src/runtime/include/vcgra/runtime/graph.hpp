@@ -210,16 +210,30 @@ class Session {
   std::uint64_t chunks_ = 0;
 };
 
+/// One chunk of a graph session's external streams as borrowed views,
+/// keyed stage name -> CANONICAL input name (ParsedKernel::canonical_name)
+/// -> stream. Each view is raw bits in the stage's format or doubles,
+/// and several inputs may view one buffer.
+using GraphChunkViews = std::map<std::string, overlay::BatchInputs>;
+
 /// Streaming execution of a whole admitted graph: one StreamCarry per
 /// stage, edges delivered chunk by chunk as raw bits. External inputs
-/// come exclusively from feed() (the admitted spec's baked streams are
-/// ignored in session mode); chunk streams are keyed stage -> input.
+/// come exclusively from the feeds (the admitted spec's baked streams
+/// are ignored in session mode); chunk streams are keyed stage -> input,
+/// and a key naming no stage is rejected.
 class GraphSession {
  public:
   ~GraphSession();
   GraphSession(const GraphSession&) = delete;
   GraphSession& operator=(const GraphSession&) = delete;
 
+  /// The session's one datapath entry: feed one chunk of views. Raw-bits
+  /// views are read in place by the plan executor — never copied, never
+  /// written — and need only live for the duration of the call.
+  GraphResult feed_views(const GraphChunkViews& chunk);
+
+  /// Double-boundary adapter over feed_views: streams keyed by the
+  /// kernels' real input names, encoded at the executor boundary.
   GraphResult feed(
       const std::map<std::string, std::map<std::string, std::vector<double>>>&
           chunk);

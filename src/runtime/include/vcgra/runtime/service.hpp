@@ -228,9 +228,13 @@ class OverlayService {
   /// Pin one specialization for streaming: compile + plan fetch happen
   /// here, then every feed() is pure datapath with the MAC/decimation
   /// carry held across chunks. The session must not outlive the service.
+  /// Throws std::invalid_argument when the plan is not
+  /// overlay::ExecPlan::streamable (chunking would change its outputs).
   std::unique_ptr<Session> open_session(const SessionRequest& request);
 
   /// Streaming execution of an admitted graph (one carry per stage).
+  /// Throws std::invalid_argument when any stage's plan is not
+  /// overlay::ExecPlan::streamable.
   std::unique_ptr<GraphSession> open_graph_session(
       std::shared_ptr<const KernelGraph> graph);
 

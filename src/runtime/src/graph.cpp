@@ -72,6 +72,17 @@ void add_canonical_streams(const overlay::ParsedKernel& parsed,
   }
 }
 
+/// The stage a session chunk key names; throws on a name that is no
+/// stage of the graph.
+const KernelGraph::Stage& chunk_stage(const KernelGraph& graph,
+                                      const std::string& name) {
+  for (const KernelGraph::Stage& stage : graph.stages()) {
+    if (stage.spec.name == name) return stage;
+  }
+  throw std::invalid_argument("graph session chunk names unknown stage '" +
+                              name + "'");
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -430,6 +441,11 @@ std::unique_ptr<Session> OverlayService::open_session(
   const auto compiled = cache_.get_or_specialize(
       keys, *parsed, request.arch, request.seed, binding, &outcome);
   auto plan = cache_.plan_for(keys, compiled, options_.sim);
+  if (!plan->streamable) {
+    throw std::invalid_argument(
+        "open_session: kernel is not streamable (a two-operand op pairs "
+        "streams decimated at different rates); run it as a job");
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++sessions_opened_;
@@ -479,6 +495,14 @@ std::unique_ptr<GraphSession> OverlayService::open_graph_session(
     std::shared_ptr<const KernelGraph> graph) {
   if (!graph) throw std::invalid_argument("open_graph_session: null graph");
   VCGRA_TRACE_SPAN("session.open");
+  for (const KernelGraph::Stage& stage : graph->stages()) {
+    if (!stage.plan->streamable) {
+      throw std::invalid_argument(
+          "open_graph_session: stage '" + stage.spec.name +
+          "' is not streamable (a two-operand op pairs streams decimated at "
+          "different rates); run the graph one-shot");
+    }
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++sessions_opened_;
@@ -501,6 +525,15 @@ GraphSession::~GraphSession() { service_->note_session_closed(); }
 GraphResult GraphSession::feed(
     const std::map<std::string, std::map<std::string, std::vector<double>>>&
         chunk) {
+  GraphChunkViews views;
+  for (const auto& [name, streams] : chunk) {
+    add_canonical_streams(*chunk_stage(*graph_, name).parsed, streams,
+                          views[name]);
+  }
+  return feed_views(views);
+}
+
+GraphResult GraphSession::feed_views(const GraphChunkViews& chunk) {
   VCGRA_TRACE_SPAN("session.feed");
   GraphResult result;
   const std::vector<KernelGraph::Stage>& stages = graph_->stages();
@@ -510,17 +543,31 @@ GraphResult GraphSession::feed(
 
   std::vector<std::map<std::string, std::vector<std::uint64_t>>> produced(n);
   std::vector<std::vector<std::uint64_t>> converted(edges.size());
+  // Every chunk key must name a stage; checked before any carry moves.
+  std::size_t matched = 0;
+  for (const KernelGraph::Stage& stage : stages) {
+    matched += chunk.count(stage.spec.name);
+  }
+  if (matched != chunk.size()) {
+    for (const auto& entry : chunk) chunk_stage(*graph_, entry.first);
+  }
+  const overlay::BatchInputs no_streams;
 
   for (const int si : graph_->topo_order()) {
     const KernelGraph::Stage& stage = stages[static_cast<std::size_t>(si)];
-    overlay::BatchInputs in;
     const auto external = chunk.find(stage.spec.name);
-    if (external != chunk.end()) {
-      add_canonical_streams(*stage.parsed, external->second, in);
-    }
+    const overlay::BatchInputs* in =
+        external != chunk.end() ? &external->second : &no_streams;
+    // A stage fed by edges merges them into a copy of its external
+    // views; a stage fed only externally passes the caller's map as is.
+    overlay::BatchInputs merged;
     for (std::size_t e = 0; e < edges.size(); ++e) {
       const KernelGraph::Edge& edge = edges[e];
       if (edge.consumer != si) continue;
+      if (in != &merged) {
+        merged = *in;
+        in = &merged;
+      }
       const std::vector<std::uint64_t>* bits =
           &produced[static_cast<std::size_t>(edge.producer)]
                .at(edge.canonical_output);
@@ -533,18 +580,15 @@ GraphResult GraphSession::feed(
       } else {
         ++result.edges_raw;
       }
-      if (!in.emplace(edge.canonical_input,
-                      overlay::BatchStream{bits->data(), nullptr,
-                                           bits->size()})
-               .second) {
+      if (!merged.emplace(edge.canonical_input, stream_view(*bits)).second) {
         throw std::invalid_argument(
             "graph stage '" + stage.spec.name + "': input stream '" +
             edge.canonical_input + "' provided both externally and by an edge");
       }
     }
     overlay::RunResult run = overlay::PlanExecutor(stage.plan)
-                                 .run_chunk(in, &carries_[static_cast<
-                                                std::size_t>(si)],
+                                 .run_chunk(*in, &carries_[static_cast<
+                                                 std::size_t>(si)],
                                             /*raw_output=*/true);
     result.cycles += run.cycles;
     result.fp_ops += run.fp_ops;

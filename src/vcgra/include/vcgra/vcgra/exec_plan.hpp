@@ -27,7 +27,9 @@
 // a batch of one; a session chunk is a batch of one with a carry. The
 // core sizes and validates every job once, encodes the boundary once,
 // sweeps the tape once in blocks over the stripes, and materializes the
-// outputs once.
+// outputs once. An input buffer only one job provides, as raw bits, is
+// read in place from the caller's storage rather than copied (every
+// batch of one, so every session chunk and graph edge).
 //
 // Bit-exactness with the legacy Simulator (outputs, cycles, fp_ops,
 // mac_ops, pipeline_depth) is a hard contract across all FP formats; the
@@ -94,6 +96,15 @@ struct ExecPlan {
   /// Pre-computed fill latency (the interpreter's `deepest`), including
   /// the output-side hops. cycles(L) = pipeline_depth + max(L, 1) - 1.
   int pipeline_depth = 0;
+  /// Whether chunked execution (PlanExecutor::run_chunk, sessions) is
+  /// unobservable. Each buffer streams at an exact rate per input sample
+  /// — 1 for inputs, divided by `count` at every decimating MAC (0 once
+  /// a count is 0) — and a plan is streamable when every two-operand op
+  /// pairs operands of equal rate. An op pairing different rates (say,
+  /// a mul of two MACs decimating by 3 and by 2) matches element i of
+  /// each chunk instead of element i of the whole stream, so such a plan
+  /// runs one-shot only: run_chunk and the service's sessions reject it.
+  bool streamable = true;
 
   /// Lower a specialized overlay into a plan. Throws std::invalid_argument
   /// on artifacts the interpreter could not execute either (an op shape
@@ -141,11 +152,15 @@ class ExecArena {
     std::size_t consumed = 0;    // input samples folded so far
   };
   /// One buffer across the jobs of a call: the jobs' segments laid back
-  /// to back from word `base`, `produced` of its `size` words written.
+  /// to back from `data`, `produced` of its `size` words written. `data`
+  /// points into the arena, or — for an input with a single contributing
+  /// segment given as raw bits — at the caller's stream, read in place
+  /// (the sweep never writes input buffers).
   struct Stripe {
-    std::size_t base = 0;
+    std::uint64_t* data = nullptr;
     std::size_t size = 0;
     std::size_t produced = 0;
+    std::size_t segments = 0;  // accepted jobs providing this buffer
   };
   struct Stats {
     std::uint64_t jobs = 0;   // begin_job calls
@@ -174,7 +189,6 @@ class ExecArena {
   std::vector<std::size_t>& offsets() { return offsets_; }  // within the stripe
   std::vector<Stripe>& stripes() { return stripes_; }
   std::vector<MacState>& mac_states() { return mac_states_; }
-  std::uint64_t* words() { return pool_.data(); }
 
   const Stats& stats() const { return stats_; }
 
@@ -196,12 +210,15 @@ class ExecArena {
 /// from the executor's internal block-sweep carry to an API object so a
 /// long-lived session can feed an unbounded stream in chunks.
 ///
-/// The contract (enforced by the chunked-feed differential in
-/// test_graph): feeding a stream through run_chunk in any chunking —
-/// including chunks that straddle MAC decimation boundaries and the
-/// executor's internal block size — produces bit-identical concatenated
-/// outputs and identical cumulative cycles/fp_ops/mac_ops to one
-/// run()/run_doubles() call over the whole stream.
+/// The contract (enforced by the chunked-feed differentials in
+/// test_graph and test_exec_plan): for a streamable plan
+/// (ExecPlan::streamable), feeding a stream through run_chunk in any
+/// chunking — including chunks that straddle MAC decimation boundaries
+/// and the executor's internal block size — produces bit-identical
+/// concatenated outputs and identical cumulative cycles/fp_ops/mac_ops
+/// to one run()/run_doubles() call over the whole stream. A carry for a
+/// plan that is not streamable would have to hold an unbounded backlog
+/// of the faster operand, so run_chunk rejects such plans instead.
 struct StreamCarry {
   /// One accumulator per plan MAC op (sized on first use). `consumed`
   /// accumulates total samples folded, for diagnostics only.
@@ -276,7 +293,9 @@ class PlanExecutor {
 
   /// Zero-copy result of run_views(): output views stay valid only until
   /// the calling thread's next plan execution (any run/run_batch on any
-  /// executor). Consumers fold or decode before running again.
+  /// executor). Consumers fold or decode before running again. An output
+  /// that aliases an input given as raw bits (a pass-through output)
+  /// views the caller's input storage instead, and lives as long as it.
   struct RunView {
     std::vector<std::pair<std::string, BitStreamView>> outputs;  // name-sorted
     std::uint64_t cycles = 0;
@@ -298,7 +317,8 @@ class PlanExecutor {
   /// concatenated stream, and the concatenated outputs are bit-identical
   /// to it. `raw_output` fills bit_outputs instead of FpValue streams.
   /// An empty carry binds to this plan on first use; reusing it against
-  /// a plan with a different MAC count throws.
+  /// a plan with a different MAC count throws. A plan that is not
+  /// ExecPlan::streamable throws std::invalid_argument.
   RunResult run_chunk(const BatchInputs& chunk, StreamCarry* carry,
                       bool raw_output = false) const;
 

@@ -243,6 +243,26 @@ ExecPlan ExecPlan::lower(const Compiled& compiled, const SimOptions& options) {
     }
     plan.tape = std::move(fused_tape);
   }
+
+  // Streamability: every buffer's exact rate per input sample is 1/period
+  // — period 1 for inputs, multiplied by `count` at each decimating MAC,
+  // 0 for a stream that never emits (count 0). A period that would
+  // overflow is treated as unequal to everything.
+  {
+    std::vector<std::uint64_t> period(
+        static_cast<std::size_t>(plan.num_buffers), 1);
+    for (const Op& op : plan.tape) {
+      std::uint64_t p = period[static_cast<std::size_t>(op.a)];
+      if (op.b >= 0 && period[static_cast<std::size_t>(op.b)] != p) {
+        plan.streamable = false;
+      }
+      if (op.code == OpCode::kMac &&
+          __builtin_mul_overflow(p, std::uint64_t{op.count}, &p)) {
+        plan.streamable = false;
+      }
+      period[static_cast<std::size_t>(op.dst)] = p;
+    }
+  }
   return plan;
 }
 
@@ -509,14 +529,13 @@ void apply_elementwise(const softfloat::FpFormat& format, const ExecPlan::Op& op
 struct Sweep {
   softfloat::FpFormat format;
   std::size_t njobs;
-  std::uint64_t* words;
   const std::vector<std::size_t>& lens;
   const std::vector<std::size_t>& offsets;
   std::vector<ExecArena::Stripe>& stripes;
   std::vector<ExecArena::MacState>& mac;
 
   std::uint64_t* at(std::int32_t buffer, std::size_t pos) const {
-    return words + stripes[static_cast<std::size_t>(buffer)].base + pos;
+    return stripes[static_cast<std::size_t>(buffer)].data + pos;
   }
 
   /// Advance one op as far as its operands allow.
@@ -641,31 +660,51 @@ void execute_core(const ExecPlan& plan, const ResolvedJob* jobs,
   // order, so aligned operand stripes match element for element.
   std::vector<ExecArena::Stripe>& stripes = arena.stripes();
   std::vector<std::size_t>& offsets = arena.offsets();
-  std::size_t total_words = 0;
   for (std::size_t b = 0; b < buffers; ++b) {
     for (std::size_t j = 0; j < njobs; ++j) {
       const std::size_t i = b * njobs + j;
       if (lens[i] == kAbsent) continue;
       offsets[i] = stripes[b].size;
       stripes[b].size += lens[i];
+      ++stripes[b].segments;
     }
-    total_words += stripes[b].size;
+  }
+  // A raw-bits input that is its stripe's only segment is read in place:
+  // the stripe borrows the caller's storage. The sweep only ever writes
+  // op destinations, never input buffers, so the const_cast never
+  // becomes a write.
+  const auto borrowed = [&](const ResolvedStream& entry) {
+    return entry.stream.bits != nullptr &&
+           stripes[static_cast<std::size_t>(entry.buffer)].segments == 1;
+  };
+  for (std::size_t j = 0; j < njobs; ++j) {
+    if (out.outcomes[j].error) continue;
+    for (const ResolvedStream& entry : jobs[j]) {
+      if (!borrowed(entry)) continue;
+      stripes[static_cast<std::size_t>(entry.buffer)].data =
+          const_cast<std::uint64_t*>(entry.stream.bits);
+    }
+  }
+  std::size_t total_words = 0;
+  for (const ExecArena::Stripe& stripe : stripes) {
+    if (stripe.data == nullptr) total_words += stripe.size;
   }
   arena.reserve_words(total_words);
   for (ExecArena::Stripe& stripe : stripes) {
-    stripe.base = static_cast<std::size_t>(arena.take(stripe.size) - arena.words());
+    if (stripe.data == nullptr) stripe.data = arena.take(stripe.size);
   }
 
-  // Boundary pass: every provided stream of every accepted job, bits
-  // copied, doubles batch-encoded, FpValues unwrapped into its segment.
+  // Boundary pass: every provided stream of every accepted job that is
+  // not read in place — bits copied, doubles batch-encoded, FpValues
+  // unwrapped into its segment.
   const softfloat::FpFormat format = plan.format;
-  std::uint64_t* const words = arena.words();
   std::uint64_t span_start = telemetry::child_span_start();
   for (std::size_t j = 0; j < njobs; ++j) {
     if (out.outcomes[j].error) continue;
     for (const ResolvedStream& entry : jobs[j]) {
+      if (borrowed(entry)) continue;
       const std::size_t b = static_cast<std::size_t>(entry.buffer);
-      std::uint64_t* dst = words + stripes[b].base + offsets[b * njobs + j];
+      std::uint64_t* dst = stripes[b].data + offsets[b * njobs + j];
       const BatchStream& s = entry.stream;
       if (s.bits) {
         std::copy(s.bits, s.bits + s.size, dst);
@@ -694,7 +733,7 @@ void execute_core(const ExecPlan& plan, const ResolvedJob* jobs,
   for (std::size_t b = 0; b < num_inputs; ++b) {
     input_words = std::max(input_words, stripes[b].size);
   }
-  Sweep sweep{format, njobs, words, lens, offsets, stripes, mac};
+  Sweep sweep{format, njobs, lens, offsets, stripes, mac};
   for (std::size_t pos = 0; pos < input_words;) {
     pos = std::min(input_words, pos + kBlockElems);
     for (std::size_t b = 0; b < num_inputs; ++b) {
@@ -712,7 +751,7 @@ void execute_core(const ExecPlan& plan, const ResolvedJob* jobs,
     for (const ExecPlan::OutputSlot& slot : plan.outputs) {
       const std::size_t i = static_cast<std::size_t>(slot.buffer) * njobs + j;
       const std::uint64_t* p =
-          words + stripes[static_cast<std::size_t>(slot.buffer)].base + offsets[i];
+          stripes[static_cast<std::size_t>(slot.buffer)].data + offsets[i];
       if (out.view) {
         out.view->outputs.emplace_back(
             slot.name, PlanExecutor::BitStreamView{p, lens[i]});
@@ -854,6 +893,11 @@ RunResult PlanExecutor::run_chunk(const BatchInputs& chunk, StreamCarry* carry,
                                   bool raw_output) const {
   if (carry == nullptr) {
     throw std::invalid_argument("PlanExecutor: run_chunk needs a carry");
+  }
+  if (!plan_->streamable) {
+    throw std::invalid_argument(
+        "PlanExecutor: plan is not streamable (a two-operand op pairs "
+        "streams decimated at different rates); run it one-shot");
   }
   return run_one(*plan_, chunk, carry, raw_output);
 }

@@ -13,6 +13,13 @@
 // run_pipeline_overlay at any thread count.
 #pragma once
 
+#include <cstddef>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "vcgra/runtime/graph.hpp"
 #include "vcgra/runtime/service.hpp"
 #include "vcgra/vision/pipeline.hpp"
 
@@ -140,17 +147,26 @@ PipelineResult run_pipeline_service_graph(const RgbImage& input,
 /// Construction admits the three filter banks' kernel graphs ONCE with
 /// no baked input streams (the graphs are image-size independent — only
 /// the params are bound at admission); run() then streams each frame
-/// through per-bank GraphSessions, feeding the frame's shifted tap
-/// streams as one chunk. Per-frame cost is host preprocessing plus pure
-/// graph datapath: no parsing, no cache lookups, no admission, no job
-/// queue. Outputs are bit-exact with run_pipeline_service_graph — and
-/// therefore with run_pipeline_service_dcs — on every frame (asserted
-/// by test_graph); bench_runtime gate [I] holds the speedup over the
-/// per-job DCS engine.
+/// through per-bank GraphSessions as one chunk of raw-bit views. Per
+/// bank, the input image is encoded once in the fabric format and copied
+/// into one edge-clamped buffer per distinct tap shift (a 5x5 bank has
+/// 25 shifts however many filters it holds); every tap input views its
+/// shift's buffer, which the plan executor reads in place. Per-frame
+/// cost is host preprocessing plus pure graph datapath: no parsing, no
+/// cache lookups, no admission, no job queue, no double tap streams.
+/// Outputs are bit-exact with run_pipeline_service_graph — and therefore
+/// with run_pipeline_service_dcs — on every frame (asserted by
+/// test_graph); bench_runtime gate [I] holds the speedup over the
+/// per-job DCS engine and gate [N] the speedup over feeding the same
+/// graphs double tap streams.
+///
+/// run() reuses buffers the runner owns, so one runner serves one
+/// caller at a time.
 class PipelineGraphRunner {
  public:
   /// One external stream of a pinned bank graph: the tap-group stage
-  /// and input it feeds, and the image shift of the tap it carries.
+  /// and input (the kernel's real name) it feeds, and the image shift of
+  /// the tap it carries.
   struct TapFeed {
     std::string stage;
     std::string input;
@@ -158,10 +174,20 @@ class PipelineGraphRunner {
     int dy = 0;
   };
 
+  /// One admitted filter bank: its graph, the external streams a frame
+  /// feeds it (one per filter tap) and its per-filter response stages.
+  struct Bank {
+    std::shared_ptr<const runtime::KernelGraph> graph;
+    std::vector<TapFeed> taps;
+    std::vector<std::string> finals;  // per-filter response stages, bank order
+  };
+
   PipelineGraphRunner(const PipelineParams& params,
                       const overlay::OverlayArch& arch,
                       runtime::OverlayService& service,
                       std::uint64_t seed = 1);
+  PipelineGraphRunner(const PipelineGraphRunner&) = delete;
+  PipelineGraphRunner& operator=(const PipelineGraphRunner&) = delete;
 
   /// Segment one frame. `graph_stats` reports this frame's invocation
   /// counters; admission accounting lives in admission_stats().
@@ -172,25 +198,36 @@ class PipelineGraphRunner {
   /// hits, admitted graphs/stages). Frames never add to it.
   const PipelineGraphStats& admission_stats() const { return admitted_; }
 
+  /// The admitted banks in pipeline order: 0 denoise, 1 matched, 2 ridges.
+  const Bank& bank(std::size_t index) const { return banks_.at(index).bank; }
+
  private:
   struct PinnedBank {
-    std::shared_ptr<const runtime::KernelGraph> graph;
-    std::vector<TapFeed> taps;
-    std::vector<std::string> finals;  // per-filter response stages, bank order
-    std::size_t filters = 0;
+    Bank bank;
+    /// Distinct (dx, dy) tap shifts; buffer k of a frame holds shift k.
+    std::vector<std::pair<int, int>> shifts;
+    /// Admission-built chunk: stage -> canonical input -> view. run()
+    /// only points each view at its shift's buffer.
+    runtime::GraphChunkViews views;
+    /// Shift index of every view, in the views' iteration order.
+    std::vector<std::size_t> view_shifts;
   };
 
   PinnedBank admit_bank(const std::vector<Kernel>& bank, std::uint64_t seed);
-  Image bank_response(const PinnedBank& bank, const Image& input,
+  Image bank_response(PinnedBank& bank, const Image& input,
                       PipelineCost& cost, PipelineGraphStats& stats);
 
   runtime::OverlayService& service_;
   overlay::OverlayArch arch_;
   PipelineParams params_;
   PipelineGraphStats admitted_;
-  PinnedBank denoise_;
-  PinnedBank matched_;
-  PinnedBank ridges_;
+  std::vector<PinnedBank> banks_;  // denoise, matched, ridges
+  // Frame scratch shared by every bank and frame: the image as doubles
+  // (encode staging, then response decode), its encoding, and the shift
+  // buffers, sized for the bank with the most shifts.
+  std::vector<double> staging_;
+  std::vector<std::uint64_t> encoded_;
+  std::vector<std::uint64_t> shifted_;
 };
 
 }  // namespace vcgra::vision

@@ -56,7 +56,9 @@ Image remove_optic_disc_and_border(const Image& input, const Mask& field_of_view
   }
   float disc_level = 1.0f;
   if (!values.empty()) {
-    const std::size_t k = values.size() - values.size() / 50;  // 98th pct
+    // 98th percentile; a view of under 50 pixels takes its maximum.
+    const std::size_t k =
+        std::min(values.size() - values.size() / 50, values.size() - 1);
     std::nth_element(values.begin(), values.begin() + static_cast<long>(k),
                      values.end());
     disc_level = values[k];

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -167,7 +168,7 @@ namespace {
 /// stages carry no streams — the PipelineGraphRunner admission mode,
 /// where frames arrive later through GraphSession::feed — and `taps`
 /// records which stage/input each tap feeds plus its image shift, so
-/// the runner can rebuild the exact same streams per frame.
+/// the runner can feed the same streams per frame from shift buffers.
 std::string add_filter_graph_stages(
     runtime::GraphRequest& request, const Image* bake, const Kernel& kernel,
     const overlay::OverlayArch& arch, const std::string& prefix,
@@ -241,23 +242,49 @@ std::string add_filter_graph_stages(
   return pending.front();
 }
 
-/// Decode one kept graph output ("stage:y", length-checked) into `out`.
-void decode_graph_response(const runtime::GraphResult& run,
-                           const std::string& stage,
-                           const overlay::OverlayArch& arch, Image& out) {
-  const std::size_t pixels = static_cast<std::size_t>(out.width()) *
-                             static_cast<std::size_t>(out.height());
+/// One kept graph output ("stage:y"), length-checked against the frame.
+const std::vector<std::uint64_t>& graph_response(
+    const runtime::GraphResult& run, const std::string& stage,
+    std::size_t pixels) {
   const auto it = run.bit_outputs.find(stage + ":y");
   if (it == run.bit_outputs.end() || it->second.size() != pixels) {
     throw std::runtime_error(
         "convolve_overlay_graph: malformed graph output for stage '" + stage +
         "'");
   }
+  return it->second;
+}
+
+/// Decode one kept graph output into `out`.
+void decode_graph_response(const runtime::GraphResult& run,
+                           const std::string& stage,
+                           const overlay::OverlayArch& arch, Image& out) {
+  const std::size_t pixels = out.data().size();
+  const std::vector<std::uint64_t>& bits = graph_response(run, stage, pixels);
   std::vector<double> decoded(pixels);
-  softfloat::fp_to_double_n(arch.format, it->second.data(), decoded.data(),
-                            pixels);
+  softfloat::fp_to_double_n(arch.format, bits.data(), decoded.data(), pixels);
   for (std::size_t p = 0; p < pixels; ++p) {
     out.data()[p] = static_cast<float>(decoded[p]);
+  }
+}
+
+/// dst(x, y) = src(clamp(x + dx), clamp(y + dy)) over a non-empty
+/// row-major width x height frame: Image::sample's edge clamp, built as
+/// one copy per row plus replicated edge words.
+void shift_clamped(const std::uint64_t* src, int width, int height, int dx,
+                   int dy, std::uint64_t* dst) {
+  const std::size_t w = static_cast<std::size_t>(width);
+  const std::size_t left = static_cast<std::size_t>(std::clamp(-dx, 0, width));
+  const std::size_t right = static_cast<std::size_t>(std::clamp(dx, 0, width));
+  const std::size_t interior = w - left - right;  // one of left/right is 0
+  const std::size_t from = static_cast<std::size_t>(std::max(dx, 0));
+  for (int y = 0; y < height; ++y) {
+    const std::uint64_t* row =
+        src + static_cast<std::size_t>(std::clamp(y + dy, 0, height - 1)) * w;
+    std::uint64_t* out = dst + static_cast<std::size_t>(y) * w;
+    std::fill_n(out, left, row[0]);
+    if (interior > 0) std::copy_n(row + from, interior, out + left);
+    std::fill_n(out + left + interior, right, row[w - 1]);
   }
 }
 
@@ -483,13 +510,13 @@ PipelineGraphRunner::PipelineGraphRunner(const PipelineParams& params,
                                          runtime::OverlayService& service,
                                          std::uint64_t seed)
     : service_(service), arch_(arch), params_(params) {
-  denoise_ = admit_bank(
-      {gaussian_kernel(params.denoise_size, params.denoise_sigma)}, seed);
-  matched_ = admit_bank(
+  banks_.push_back(admit_bank(
+      {gaussian_kernel(params.denoise_size, params.denoise_sigma)}, seed));
+  banks_.push_back(admit_bank(
       matched_filter_bank(params.matched_size, params.matched_sigma,
                           params.matched_length, params.orientations),
-      seed);
-  ridges_ = admit_bank(ridge_bank(params), seed);
+      seed));
+  banks_.push_back(admit_bank(ridge_bank(params), seed));
 }
 
 PipelineGraphRunner::PinnedBank PipelineGraphRunner::admit_bank(
@@ -497,47 +524,83 @@ PipelineGraphRunner::PinnedBank PipelineGraphRunner::admit_bank(
   runtime::GraphRequest request;
   request.arch = arch_;
   PinnedBank pinned;
-  pinned.filters = bank.size();
+  Bank& admitted = pinned.bank;
   for (std::size_t f = 0; f < bank.size(); ++f) {
-    pinned.finals.push_back(add_filter_graph_stages(
+    admitted.finals.push_back(add_filter_graph_stages(
         request, /*bake=*/nullptr, bank[f], arch_,
-        common::strprintf("f%zu_", f), seed, &pinned.taps));
+        common::strprintf("f%zu_", f), seed, &admitted.taps));
   }
   for (runtime::GraphStage& stage : request.stages) {
-    if (std::find(pinned.finals.begin(), pinned.finals.end(), stage.name) !=
-        pinned.finals.end()) {
+    if (std::find(admitted.finals.begin(), admitted.finals.end(),
+                  stage.name) != admitted.finals.end()) {
       stage.keep_output = true;
     }
   }
-  pinned.graph = service_.admit_graph(request);
+  admitted.graph = service_.admit_graph(request);
   ++admitted_.graphs;
-  admitted_.stages += static_cast<int>(pinned.graph->stages().size());
-  for (const auto& stage : pinned.graph->stages()) {
+  admitted_.stages += static_cast<int>(admitted.graph->stages().size());
+  std::map<std::string, const overlay::ParsedKernel*> parsed_of;
+  for (const auto& stage : admitted.graph->stages()) {
     if (stage.structure_hit) ++admitted_.structure_hits;
     admitted_.compile_seconds += stage.compile_seconds;
     admitted_.specialize_seconds += stage.specialize_seconds;
+    parsed_of[stage.spec.name] = stage.parsed.get();
+  }
+
+  // Group the taps by image shift and resolve each tap's view key (stage,
+  // canonical input) once: per frame, every tap of one shift — across
+  // all the bank's filters — views the same buffer.
+  std::map<std::pair<int, int>, std::size_t> shift_index;
+  std::map<std::pair<std::string, std::string>, std::size_t> shift_of_view;
+  for (const TapFeed& tap : admitted.taps) {
+    const auto shift =
+        shift_index.emplace(std::make_pair(tap.dx, tap.dy), pinned.shifts.size());
+    if (shift.second) pinned.shifts.push_back(shift.first->first);
+    const std::string& input =
+        parsed_of.at(tap.stage)->canonical_name(tap.input);
+    pinned.views[tap.stage][input] = overlay::BatchStream{};
+    shift_of_view[{tap.stage, input}] = shift.first->second;
+  }
+  for (const auto& [stage, inputs] : pinned.views) {
+    for (const auto& entry : inputs) {
+      pinned.view_shifts.push_back(shift_of_view.at({stage, entry.first}));
+    }
   }
   return pinned;
 }
 
-Image PipelineGraphRunner::bank_response(const PinnedBank& bank,
+Image PipelineGraphRunner::bank_response(PinnedBank& pinned,
                                          const Image& input,
                                          PipelineCost& cost,
                                          PipelineGraphStats& stats) {
-  telemetry::metrics().counter("vision.filters_submitted").add(bank.filters);
-  // The frame is one chunk: rebuild each tap's shifted stream exactly
-  // as the baked-graph path does, keyed stage -> input the way
-  // GraphSession::feed binds external streams.
-  std::map<std::string, std::map<std::string, std::vector<double>>> chunk;
-  const std::size_t pixels = static_cast<std::size_t>(input.width()) *
-                             static_cast<std::size_t>(input.height());
-  for (const TapFeed& tap : bank.taps) {
-    std::vector<double>& stream = chunk[tap.stage][tap.input];
-    stream.reserve(pixels);
-    for (int y = 0; y < input.height(); ++y) {
-      for (int x = 0; x < input.width(); ++x) {
-        stream.push_back(
-            static_cast<double>(input.sample(x + tap.dx, y + tap.dy)));
+  const Bank& bank = pinned.bank;
+  telemetry::metrics().counter("vision.filters_submitted").add(bank.finals.size());
+  const std::size_t pixels = input.data().size();
+  {
+    // The frame is one chunk. Encode the image once — fp_from_double_n
+    // over double(pixel), the exact bits each tap's double stream would
+    // encode to — then fill one clamped buffer per distinct shift and
+    // point every tap's view at its shift's buffer.
+    VCGRA_TRACE_SPAN("vision.taps");
+    staging_.resize(pixels);
+    encoded_.resize(pixels);
+    std::copy(input.data().begin(), input.data().end(), staging_.begin());
+    softfloat::fp_from_double_n(arch_.format, staging_.data(), encoded_.data(),
+                                pixels);
+    const std::size_t words = pinned.shifts.size() * pixels;
+    if (shifted_.size() < words) shifted_.resize(words);
+    if (pixels > 0) {
+      for (std::size_t k = 0; k < pinned.shifts.size(); ++k) {
+        shift_clamped(encoded_.data(), input.width(), input.height(),
+                      pinned.shifts[k].first, pinned.shifts[k].second,
+                      shifted_.data() + k * pixels);
+      }
+    }
+    std::size_t v = 0;
+    for (auto& [stage, inputs] : pinned.views) {
+      for (auto& [name, view] : inputs) {
+        view = overlay::BatchStream{
+            shifted_.data() + pinned.view_shifts[v++] * pixels, nullptr, pixels};
       }
     }
   }
@@ -545,23 +608,31 @@ Image PipelineGraphRunner::bank_response(const PinnedBank& bank,
   // A fresh session per frame keeps the chunk counters frame-exact; the
   // stages are stateless (no MAC taps), so carry history is moot anyway.
   const auto session = service_.open_graph_session(bank.graph);
-  const runtime::GraphResult run = session->feed(chunk);
+  const runtime::GraphResult run = session->feed_views(pinned.views);
   ++stats.graphs;
   stats.stages += run.stages;
   stats.edges_raw += run.edges_raw;
   stats.edges_converted += run.edges_converted;
   cost.macs += run.fp_ops;
   cost.cycles += run.cycles;
-  cost.filters_applied += static_cast<int>(bank.filters);
+  cost.filters_applied += static_cast<int>(bank.finals.size());
 
-  std::vector<Image> responses;
-  responses.reserve(bank.filters);
-  for (const std::string& final_stage : bank.finals) {
-    Image response(input.width(), input.height());
-    decode_graph_response(run, final_stage, arch_, response);
-    responses.push_back(std::move(response));
+  // Decode each filter's response and fold the pixelwise max in bank
+  // order — pixelwise_max's order, without a per-filter image.
+  VCGRA_TRACE_SPAN("vision.respond");
+  Image response(input.width(), input.height());
+  float* out = response.data().data();
+  for (std::size_t f = 0; f < bank.finals.size(); ++f) {
+    const std::vector<std::uint64_t>& bits =
+        graph_response(run, bank.finals[f], pixels);
+    softfloat::fp_to_double_n(arch_.format, bits.data(), staging_.data(),
+                              pixels);
+    for (std::size_t p = 0; p < pixels; ++p) {
+      const float value = static_cast<float>(staging_[p]);
+      out[p] = f == 0 ? value : std::max(out[p], value);
+    }
   }
-  return pixelwise_max(responses);
+  return response;
 }
 
 PipelineResult PipelineGraphRunner::run(const RgbImage& input,
@@ -579,11 +650,11 @@ PipelineResult PipelineGraphRunner::run(const RgbImage& input,
       remove_optic_disc_and_border(stages.equalized, field_of_view, &valid);
 
   stages.denoised =
-      bank_response(denoise_, stages.masked, result.cost, stats);
+      bank_response(banks_[0], stages.masked, result.cost, stats);
   stages.matched =
-      bank_response(matched_, stages.denoised, result.cost, stats);
+      bank_response(banks_[1], stages.denoised, result.cost, stats);
   stages.textured =
-      bank_response(ridges_, stages.matched, result.cost, stats);
+      bank_response(banks_[2], stages.matched, result.cost, stats);
 
   const float level =
       quantile_level(stages.textured, valid, params_.threshold_quantile);

@@ -1117,9 +1117,8 @@ TEST(ExecPlanCore, StripedBatchesMatchInterpreterAndSoloRuns) {
     const char* what;
     const std::string& kernel;
     std::vector<long> lengths;
-    // run_chunk split pattern, cycled; empty for `mixed`, whose mul pairs
-    // t[i] with u[i] of each chunk, so its chunked output differs from
-    // the one-shot by construction.
+    // run_chunk split pattern, cycled; empty for `mixed`, which is not
+    // streamable, so run_chunk must reject it.
     std::vector<std::size_t> chunks;
   };
   const Case cases[] = {
@@ -1189,7 +1188,18 @@ TEST(ExecPlanCore, StripedBatchesMatchInterpreterAndSoloRuns) {
         ASSERT_FALSE(solo[0].error);
         expect_identical(want[j], batch[j].run);
         expect_identical(solo[0].run, batch[j].run);
-        if (c.chunks.empty()) continue;
+        if (c.chunks.empty()) {
+          // `mixed` multiplies t (decimated by 3) with u (decimated by 2):
+          // a chunk would pair t[i] with u[i] of the chunk rather than of
+          // the whole stream. Such a plan runs one-shot only.
+          EXPECT_FALSE(executor.plan().streamable);
+          ov::StreamCarry carry;
+          EXPECT_THROW(executor.run_chunk(jobs[j], &carry),
+                       std::invalid_argument);
+          EXPECT_TRUE(carry.mac.empty());
+          continue;
+        }
+        EXPECT_TRUE(executor.plan().streamable);
 
         // The same job as a session: chunks through run_chunk with a
         // carry concatenate to the one-shot, with cumulative counters.
@@ -1217,6 +1227,141 @@ TEST(ExecPlanCore, StripedBatchesMatchInterpreterAndSoloRuns) {
         }
         expect_identical(want[j], chunked);
       }
+    }
+  }
+}
+
+// Streamability is decided per plan from exact stream rates: equal
+// decimation rates reached by different routes (a MAC by 6 vs two MACs
+// by 2 and 3) may meet in one op; different rates may not, and neither
+// may a decimated stream meet an undecimated one.
+TEST(ExecPlanCore, StreamabilityComparesExactRates) {
+  struct Case {
+    const char* what;
+    const char* kernel;
+    bool streamable;
+  };
+  const Case cases[] = {
+      {"elementwise only",
+       "input x; input z;\nparam c = 0.5;\np = mul(x, c);\ny = add(p, z);\n"
+       "output y;\n",
+       true},
+      {"equal rates by different routes",
+       "input x;\nparam c = 0.5;\nt = mac(x, c, 6);\nu = mac(x, c, 2);\n"
+       "v = mac(u, c, 3);\ny = mul(t, v);\noutput y;\n",
+       true},
+      {"decimated meets undecimated",
+       "input x;\nparam c = 0.5;\nt = mac(x, c, 2);\ny = mul(x, t);\n"
+       "output y;\n",
+       false},
+      {"rates 1/3 and 1/2",
+       "input x;\nparam c = 0.5;\nt = mac(x, c, 3);\nu = mac(x, c, 2);\n"
+       "y = add(t, u);\noutput y;\n",
+       false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const ov::Compiled compiled = ov::compile_kernel(c.kernel, ov::OverlayArch{});
+    EXPECT_EQ(ov::ExecPlan::lower(compiled).streamable, c.streamable);
+  }
+}
+
+// A batch of one reads raw-bits inputs in place from the caller's
+// storage: the caller's buffers come back untouched; a pass-through
+// output (u aliases input x) is right in raw, FpValue and views modes,
+// and a views-mode alias points at the caller's buffer itself; two
+// inputs may share one buffer; and a multi-job batch built from the
+// same buffers (whose stripes must be copied) matches its solo runs.
+TEST(ExecPlanCore, RawInputsAreReadInPlace) {
+  const std::string kernel =
+      "input x; input z;\nparam c = 0.75;\nu = pass(x);\np = mul(x, c);\n"
+      "y = add(p, z);\noutput u; output y;\n";
+  const std::size_t lengths[] = {0, 1, 1023, 2500};
+  const FpFormat formats[] = {FpFormat::half_like(), FpFormat::paper()};
+  for (const FpFormat& format : formats) {
+    ov::OverlayArch arch;
+    arch.format = format;
+    const ov::Compiled compiled = ov::compile_kernel(kernel, arch);
+    const ov::Simulator interpreter(compiled);
+    const ov::PlanExecutor executor(
+        std::make_shared<const ov::ExecPlan>(ov::ExecPlan::lower(compiled)));
+    for (const std::size_t length : lengths) {
+      SCOPED_TRACE(vcgra::common::strprintf("fp(%d,%d), length %zu", format.we,
+                                            format.wf, length));
+      vcgra::common::Rng rng(0x1a91ULL + length);
+      std::map<std::string, std::vector<FpValue>> values;
+      std::map<std::string, std::vector<std::uint64_t>> bits;
+      for (const char* name : {"x", "z"}) {
+        std::vector<FpValue>& stream = values[name];
+        std::vector<std::uint64_t>& words = bits[name];
+        for (std::size_t i = 0; i < length; ++i) {
+          stream.push_back(random_operand(format, rng));
+          words.push_back(stream.back().bits());
+        }
+      }
+      const auto snapshot = bits;
+      const ov::RunResult want = interpreter.run(values);
+      ov::BatchInputs job;
+      job["x"] = ov::BatchStream{bits["x"].data(), nullptr, length};
+      job["z"] = ov::BatchStream{bits["z"].data(), nullptr, length};
+
+      // FpValue mode.
+      const auto fp = executor.run_batch({job});
+      ASSERT_FALSE(fp[0].error);
+      expect_identical(want, fp[0].run);
+
+      // Raw mode: the alias copies out the caller's words.
+      const auto raw = executor.run_batch({job}, {true});
+      ASSERT_FALSE(raw[0].error);
+      EXPECT_EQ(raw[0].run.bit_outputs.at("u"), snapshot.at("x"));
+      const auto& y = raw[0].run.bit_outputs.at("y");
+      ASSERT_EQ(y.size(), want.outputs.at("y").size());
+      for (std::size_t i = 0; i < y.size(); ++i) {
+        ASSERT_EQ(y[i], want.outputs.at("y")[i].bits()) << "sample " << i;
+      }
+
+      // Views mode: the alias views the caller's buffer.
+      const ov::PlanExecutor::RunView view = executor.run_views(job);
+      ASSERT_EQ(view.outputs.size(), 2u);
+      EXPECT_EQ(view.outputs[0].first, "u");
+      EXPECT_EQ(view.outputs[0].second.size, length);
+      if (length > 0) {
+        EXPECT_EQ(view.outputs[0].second.data, bits["x"].data());
+      }
+      EXPECT_EQ(std::vector<std::uint64_t>(
+                    view.outputs[1].second.data,
+                    view.outputs[1].second.data + view.outputs[1].second.size),
+                y);
+
+      // One buffer feeding both inputs.
+      ov::BatchInputs shared;
+      shared["x"] = job["x"];
+      shared["z"] = job["x"];
+      std::map<std::string, std::vector<FpValue>> shared_values;
+      shared_values["x"] = values["x"];
+      shared_values["z"] = values["x"];
+      const auto one_buffer = executor.run_batch({shared});
+      ASSERT_FALSE(one_buffer[0].error);
+      expect_identical(interpreter.run(shared_values), one_buffer[0].run);
+
+      // A multi-job batch over the same buffers: stripes are copied, and
+      // every job matches its solo run.
+      ov::BatchInputs swapped;
+      swapped["x"] = job["z"];
+      swapped["z"] = job["x"];
+      const std::vector<ov::BatchInputs> jobs = {job, shared, swapped, job};
+      const auto batch = executor.run_batch(jobs, {false, true, false, true});
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        SCOPED_TRACE(vcgra::common::strprintf("batch job %zu", j));
+        ASSERT_FALSE(batch[j].error);
+        const auto solo = executor.run_batch({jobs[j]}, {j % 2 == 1});
+        ASSERT_FALSE(solo[0].error);
+        expect_identical(solo[0].run, batch[j].run);
+        EXPECT_EQ(solo[0].run.bit_outputs, batch[j].run.bit_outputs);
+      }
+
+      // No mode wrote the caller's buffers.
+      EXPECT_EQ(bits, snapshot);
     }
   }
 }

@@ -93,6 +93,40 @@ rt::ServiceOptions two_thread_options() {
   return options;
 }
 
+/// t = mac(x, c, 3) times u = mac(x, c, 2): runs one-shot, but a chunk
+/// would pair t[i] with u[i] of the chunk, so it is not streamable.
+const char* const kTwoRateKernel =
+    "input x;\nparam c = 0.5;\nt = mac(x, c, 3);\nu = mac(x, c, 2);\n"
+    "y = mul(t, u);\noutput y;\n";
+
+/// A frame of random pixels, all of it in the field of view (a synthetic
+/// fundus needs more room than the edge-case frames have).
+struct Frame {
+  vi::RgbImage rgb;
+  vi::Mask field_of_view;
+};
+Frame random_frame(int width, int height, vc::Rng& rng) {
+  Frame frame{vi::RgbImage(width, height), vi::Mask(width, height, 1.0f)};
+  for (int y = 0; y < height; ++y) {
+    for (int x = 0; x < width; ++x) {
+      for (int c = 0; c < 3; ++c) {
+        frame.rgb.at(x, y, c) = static_cast<std::uint8_t>(rng.next_below(256));
+      }
+    }
+  }
+  return frame;
+}
+
+/// The canonical name a graph stage's plan knows a real input by.
+std::string canonical_input(const rt::KernelGraph& graph,
+                            const std::string& stage,
+                            const std::string& input) {
+  for (const auto& s : graph.stages()) {
+    if (s.spec.name == stage) return s.parsed->canonical_name(input);
+  }
+  throw std::invalid_argument("no stage " + stage);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -432,6 +466,106 @@ TEST(GraphEdges, FormatConvertHopMatchesManualBridge) {
   EXPECT_EQ(graph.bit_outputs.at("b:y"), oracle);
 }
 
+// The view feed takes raw-bit views keyed by canonical input name, and
+// several inputs may view one buffer: a two-stage graph whose three
+// external inputs all view ONE caller buffer matches the double-boundary
+// feed of the same values chunk for chunk, and the caller's buffer is
+// never written.
+TEST(GraphSession, ViewFeedSharesBuffersAndMatchesDoubleFeed) {
+  const sf::FpFormat format = ov::OverlayArch{}.format;
+  rt::GraphRequest request;
+  rt::GraphStage a;
+  a.name = "a";
+  a.kernel_text = ov::chain_add_text(2);
+  a.keep_output = true;
+  request.stages.push_back(a);
+  rt::GraphStage b;
+  b.name = "b";
+  b.kernel_text = ov::chain_add_text(2);
+  b.keep_output = true;
+  request.stages.push_back(b);
+  request.edges.push_back({"a", "y", "b", "x1"});
+
+  rt::OverlayService service(two_thread_options());
+  const auto graph = service.admit_graph(request);
+  auto by_views = service.open_graph_session(graph);
+  auto by_doubles = service.open_graph_session(graph);
+
+  vc::Rng rng(5);
+  for (const std::size_t length : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{1500}}) {
+    SCOPED_TRACE(vc::strprintf("chunk of %zu", length));
+    const std::vector<double> values = random_stream(rng, length);
+    std::vector<std::uint64_t> bits(length);
+    sf::fp_from_double_n(format, values.data(), bits.data(), length);
+    const std::vector<std::uint64_t> snapshot = bits;
+
+    const ov::BatchStream view{bits.data(), nullptr, length};
+    rt::GraphChunkViews views;
+    views["a"][canonical_input(*graph, "a", "x0")] = view;
+    views["a"][canonical_input(*graph, "a", "x1")] = view;
+    views["b"][canonical_input(*graph, "b", "x0")] = view;
+    const rt::GraphResult got = by_views->feed_views(views);
+
+    std::map<std::string, std::map<std::string, std::vector<double>>> chunk;
+    chunk["a"]["x0"] = values;
+    chunk["a"]["x1"] = values;
+    chunk["b"]["x0"] = values;
+    const rt::GraphResult want = by_doubles->feed(chunk);
+
+    EXPECT_EQ(got.bit_outputs, want.bit_outputs);
+    EXPECT_EQ(got.bit_outputs.at("b:y").size(), length);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.fp_ops, want.fp_ops);
+    EXPECT_EQ(got.edges_raw, 1);
+    EXPECT_EQ(bits, snapshot);
+  }
+  EXPECT_EQ(by_views->chunks_fed(), 3u);
+}
+
+// Chunking a plan that pairs streams decimated at different rates would
+// silently change its outputs, so sessions refuse such plans with a
+// typed error while one-shot jobs and graph runs still serve them; and a
+// session chunk naming no stage of the graph is rejected on both feeds.
+TEST(GraphSession, RejectsNonStreamablePlansAndUnknownStages) {
+  rt::OverlayService service(two_thread_options());
+  rt::JobRequest job;
+  job.kernel_text = kTwoRateKernel;
+  job.inputs["x"] = ramp(12);
+  EXPECT_EQ(service.run(job).run.outputs.at("y").size(), 4u);
+
+  rt::SessionRequest session;
+  session.kernel_text = kTwoRateKernel;
+  EXPECT_THROW(service.open_session(session), std::invalid_argument);
+
+  rt::GraphRequest request;
+  rt::GraphStage stage;
+  stage.name = "two_rates";
+  stage.kernel_text = kTwoRateKernel;
+  stage.inputs["x"] = ramp(12);
+  stage.keep_output = true;
+  request.stages.push_back(stage);
+  const auto two_rates = service.admit_graph(request);
+  EXPECT_EQ(service.run_graph(*two_rates).bit_outputs.at("two_rates:y").size(),
+            4u);
+  EXPECT_THROW(service.open_graph_session(two_rates), std::invalid_argument);
+  EXPECT_EQ(service.stats().sessions_opened, 0u);
+
+  rt::GraphRequest adds;
+  rt::GraphStage add;
+  add.name = "a";
+  add.kernel_text = ov::chain_add_text(2);
+  adds.stages.push_back(add);
+  auto graph_session = service.open_graph_session(service.admit_graph(adds));
+  std::map<std::string, std::map<std::string, std::vector<double>>> chunk;
+  chunk["ghost"]["x0"] = ramp(4);
+  EXPECT_THROW(graph_session->feed(chunk), std::invalid_argument);
+  rt::GraphChunkViews views;
+  views["ghost"];
+  EXPECT_THROW(graph_session->feed_views(views), std::invalid_argument);
+  EXPECT_EQ(graph_session->chunks_fed(), 0u);
+}
+
 // Admission resolves every name once and rejects malformed DAGs with
 // typed errors — nothing reaches the datapath.
 TEST(GraphAdmission, RejectsMalformedGraphs) {
@@ -615,6 +749,62 @@ TEST(VisionGraph, PinnedRunnerBitExactAcrossFrames) {
   EXPECT_EQ(service.stats().sessions_opened, 6u);  // 3 banks x 2 frames
   EXPECT_EQ(service.stats().sessions_open, 0u);
   EXPECT_EQ(service.stats().chunks_fed, 6u);  // each frame is one chunk
+}
+
+// The runner feeds each bank one clamped buffer per distinct tap shift,
+// built from a single encode of the frame. Frames smaller than a filter
+// clamp on every side: per frame and format, every stage image must
+// match the per-job DCS engine (whose taps are built by Image::sample)
+// bit for bit, and cycles and MACs must match the baked whole-graph
+// route. One runner serves every frame, so its buffers shrink and grow
+// between frames.
+TEST(VisionGraph, RunnerBitExactOnEdgeClampFrames) {
+  struct Shape {
+    const char* what;
+    int width;
+    int height;
+  };
+  const Shape shapes[] = {
+      {"non-square", 23, 9},
+      {"1x1", 1, 1},
+      {"1xN, narrower than the 5x5 half-width", 1, 40},
+      {"Nx1", 40, 1},
+      {"2xN, as wide as the half-width", 2, 30},
+      {"wide non-square", 31, 4},
+  };
+  vi::PipelineParams params;
+  params.denoise_size = 3;
+  params.matched_size = 5;
+  params.orientations = 3;
+  params.texture_size = 5;
+  for (const sf::FpFormat& format :
+       {sf::FpFormat::paper(), sf::FpFormat::half_like()}) {
+    ov::OverlayArch arch;
+    arch.format = format;
+    rt::OverlayService service(two_thread_options());
+    vi::PipelineGraphRunner runner(params, arch, service);
+    vc::Rng rng(41);
+    for (const Shape& shape : shapes) {
+      SCOPED_TRACE(vc::strprintf("%s (%dx%d), fp(%d,%d)", shape.what,
+                                 shape.width, shape.height, format.we,
+                                 format.wf));
+      const Frame frame = random_frame(shape.width, shape.height, rng);
+      const vi::PipelineResult pinned =
+          runner.run(frame.rgb, frame.field_of_view);
+      const vi::PipelineResult dcs = vi::run_pipeline_service_dcs(
+          frame.rgb, frame.field_of_view, params, arch, service);
+      const vi::PipelineResult baked = vi::run_pipeline_service_graph(
+          frame.rgb, frame.field_of_view, params, arch, service);
+
+      EXPECT_EQ(pinned.stages.denoised.data(), dcs.stages.denoised.data());
+      EXPECT_EQ(pinned.stages.matched.data(), dcs.stages.matched.data());
+      EXPECT_EQ(pinned.stages.textured.data(), dcs.stages.textured.data());
+      EXPECT_EQ(pinned.stages.segmented.data(), dcs.stages.segmented.data());
+      EXPECT_EQ(pinned.cost.cycles, baked.cost.cycles);
+      EXPECT_EQ(pinned.cost.macs, baked.cost.macs);
+      EXPECT_EQ(pinned.cost.filters_applied, baked.cost.filters_applied);
+    }
+  }
 }
 
 // Tiled GEMM as one DAG per run: fabric-side fold stages replace the
